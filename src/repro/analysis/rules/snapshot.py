@@ -30,7 +30,7 @@ from ..base import Finding, Rule, register_rule
 from ..source import Project, SourceModule
 
 RESET_METHODS = {"_reset_state"}
-OBSERVE_METHODS = {"_observe", "_record_observation"}
+OBSERVE_METHODS = {"_observe", "_record_observations"}
 STATE_READ_METHODS = {"_state_dict"}
 RESTORE_METHODS = {"_load_state_dict", "_post_restore"}
 ASK_ROOTS = {"_plan", "_propose"}
@@ -40,7 +40,6 @@ ASK_ROOTS = {"_plan", "_propose"}
 EXEMPT_ATTRS = {
     "_rng",
     "phase_profiler",
-    "_session",
     "_history",
     "_objective",
     "space",

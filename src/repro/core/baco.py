@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .local_search import (
     pooled_local_search_batch,
 )
 from .result import ObjectiveResult
+from .session import array_from_json, array_to_json
 from .tuner import Tuner
 
 __all__ = ["BacoSettings", "BacoTuner", "SurrogatePolicy"]
@@ -490,22 +491,32 @@ class BacoTuner(Tuner):
         doe_size = self.settings.doe_size or default_doe_size(self.space, budget)
         self._doe_queue = initial_design_queue(self.space, doe_size, budget, self._rng)
 
-    def _observe(self, configuration: Mapping[str, Any], result: ObjectiveResult) -> None:
+    def _observe(
+        self,
+        configurations: Sequence[Mapping[str, Any]],
+        results: Sequence[ObjectiveResult],
+    ) -> None:
         """Keep the encoded-row caches in step with the recorded history.
 
-        Each evaluated configuration is encoded exactly once per encoder;
-        feasible observations additionally extend the incremental train-train
-        distance tensor by a single cross block, so the next GP fit starts
-        from a fully built Gram input.
+        The batch is encoded with one ``encode_batch`` per encoder; its
+        feasible observations extend the incremental train-train distance
+        tensor with a single append, so the next GP fit starts from a fully
+        built Gram input.  Block assembly is bit-identical to appending the
+        rows one at a time, so a restore (one batch of the whole history)
+        rebuilds exactly the caches the told-one-by-one run holds.
         """
-        row = self._space_encoder.encode(configuration)
-        self._space_rows_all.append(row)
-        self._feasible_flags.append(result.feasible)
-        if result.feasible:
-            self._space_rows_feasible.append(row)
-            self._feasible_values.append(result.value)
+        rows = self._space_encoder.encode_batch(configurations)
+        flags = [result.feasible for result in results]
+        self._space_rows_all.extend(rows)
+        self._feasible_flags.extend(flags)
+        feasible = [i for i, flag in enumerate(flags) if flag]
+        if feasible:
+            self._space_rows_feasible.extend(rows[feasible])
+            self._feasible_values.extend(results[i].value for i in feasible)
             self._gp_distance_cache.append(
-                self._model_distance.encoder.encode(configuration)[None, :]
+                self._model_distance.encoder.encode_batch(
+                    [configurations[i] for i in feasible]
+                )
             )
 
     # ------------------------------------------------------------------
@@ -813,7 +824,7 @@ class BacoTuner(Tuner):
                 payload["pool_rows"] = (
                     None
                     if self._candidate_pool is None
-                    else [[float(x) for x in row] for row in self._candidate_pool]
+                    else array_to_json(self._candidate_pool)
                 )
                 payload["pool_refill"] = [int(i) for i in self._pool_refill]
             state["surrogate_policy"] = payload
@@ -834,7 +845,7 @@ class BacoTuner(Tuner):
             self._restored_chol_base_n = int(payload.get("chol_base_n", 0))
             pool_rows = payload.get("pool_rows")
             self._candidate_pool = (
-                None if pool_rows is None else np.asarray(pool_rows, dtype=float)
+                None if pool_rows is None else array_from_json(pool_rows)
             )
             self._pool_refill = [int(i) for i in payload.get("pool_refill", [])]
             self._auto_rf_state = dict(_AUTO_RF_STATE_EMPTY)

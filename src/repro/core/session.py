@@ -25,14 +25,22 @@ Checkpoint / resume
 :meth:`TuningSession.snapshot` captures the complete session state as a
 JSON-serializable dict: the RNG bit-generator state, the full history, any
 suggestions issued but not yet told, and the tuner's private state (pending
-DoE queue, bandit statistics, dedup sets).  :meth:`TuningSession.restore`
-rebuilds a live session from such a payload and a *freshly constructed*
-tuner: the history is replayed through the tuner's observation hook, which
-deterministically reconstructs every derived cache (encoded rows, feasible
-values, the incremental GP train-train distance tensor) without storing a
-single float twice, and the RNG is restored bit-exactly.  A restored session
-therefore continues the run exactly where the snapshot left off — the
-completed trace is bit-identical to an uninterrupted one.
+DoE queue, bandit statistics, dedup sets, a pooled policy's candidate pool).
+:meth:`TuningSession.restore` rebuilds a live session from such a payload and
+a *freshly constructed* tuner: the whole history is handed to the tuner's
+observation hook in one batch, which deterministically reconstructs every
+derived cache (encoded rows, feasible values, the incremental GP train-train
+distance tensor) without storing a single float twice, and the RNG is
+restored bit-exactly.  A restored session therefore continues the run
+exactly where the snapshot left off — the completed trace is bit-identical
+to an uninterrupted one.  Suggestions that were in flight at snapshot time
+are re-issued by the next :meth:`TuningSession.ask`, and a ``tell`` for one
+of them is accepted before it is re-issued.
+
+Snapshot format version 2 stores large float matrices (the candidate pool)
+packed by :func:`array_to_json` — base64 of the little-endian float64 bytes
+plus the shape — instead of nested lists.  Version-1 snapshots, whose pools
+are nested lists, are still restored.
 
 JSON notes: Python's ``json`` round-trips ``float`` values exactly (``repr``
 emits the shortest representation that parses back to the same double), so
@@ -54,6 +62,8 @@ further coordination and cannot perturb a session's trace.
 
 from __future__ import annotations
 
+import base64
+import math
 import threading
 import time
 from collections import deque
@@ -76,12 +86,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tuner imports us)
 __all__ = [
     "Suggestion",
     "TuningSession",
+    "array_from_json",
+    "array_to_json",
     "drive",
     "frozen_key_from_json",
     "frozen_key_to_json",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+#: versions :meth:`TuningSession.restore` reads (1: list-form float matrices)
+READABLE_SNAPSHOT_VERSIONS = (1, SNAPSHOT_VERSION)
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,32 @@ def frozen_key_to_json(key: tuple) -> list:
 def frozen_key_from_json(items: Sequence[Any]) -> tuple:
     """Inverse of :func:`frozen_key_to_json`."""
     return tuple(tuple(v) if isinstance(v, list) else v for v in items)
+
+
+def array_to_json(array: np.ndarray) -> dict[str, Any]:
+    """A float matrix as ``{"shape", "f8le"}``: base64 of its little-endian
+    float64 bytes.  Bit-exact (``-0.0``, NaN payloads and all) and far
+    cheaper to write and parse than nested JSON lists of ``repr`` floats."""
+    data = np.ascontiguousarray(array, dtype="<f8")
+    return {
+        "shape": list(data.shape),
+        "f8le": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def array_from_json(payload: Any) -> np.ndarray:
+    """Inverse of :func:`array_to_json`; also reads the nested-list form of
+    version-1 snapshots.  Always returns a fresh, writable float64 array."""
+    if not isinstance(payload, Mapping):
+        return np.array(payload, dtype=float)
+    shape = tuple(int(n) for n in payload["shape"])
+    raw = base64.b64decode(payload["f8le"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(
+            f"packed array holds {len(raw)} bytes, not the {8 * math.prod(shape)} "
+            f"that shape {list(shape)} needs"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _rng_state_to_json(rng: np.random.Generator) -> dict[str, Any]:
@@ -287,18 +327,22 @@ class TuningSession:
         """
         suggestion_id = suggestion.id if isinstance(suggestion, Suggestion) else int(suggestion)
         with self._lock:
-            issued = self._pending.pop(suggestion_id, None)
+            issued = self._pending.get(suggestion_id)
+            if issued is None:
+                # issued before a snapshot/restore and not yet re-issued
+                issued = next((s for s in self._reissue if s.id == suggestion_id), None)
             if issued is None:
                 raise KeyError(
                     f"suggestion id {suggestion_id} is unknown, already told, "
                     "or was never issued by ask()"
                 )
             if not isinstance(result, ObjectiveResult):
-                self._pending[suggestion_id] = issued  # reject without losing it
                 raise TypeError("tell() expects an ObjectiveResult")
+            if self._pending.pop(suggestion_id, None) is None:
+                self._reissue.remove(issued)
             evaluation = self.history.append(issued.configuration, result, phase=issued.phase)
             self.history.evaluation_seconds += max(0.0, float(elapsed))
-            self.tuner._record_observation(issued.configuration, result)
+            self.tuner._record_observations([issued.configuration], [result])
             return evaluation
 
     # ------------------------------------------------------------------
@@ -339,11 +383,11 @@ class TuningSession:
         ``tuner`` must be a freshly constructed instance equivalent to the one
         that produced the snapshot (same class, space, and settings); its RNG
         state is overwritten with the snapshotted one, and every derived cache
-        is reconstructed by replaying the history through the tuner's
-        observation hook.
+        is reconstructed by handing the whole history to the tuner's
+        observation hook in one batch.
         """
         version = payload.get("version")
-        if version != SNAPSHOT_VERSION:
+        if version not in READABLE_SNAPSHOT_VERSIONS:
             raise ValueError(f"unsupported session snapshot version: {version!r}")
         meta = payload["session"]
         snap_tuner = payload.get("tuner", {})
@@ -362,11 +406,11 @@ class TuningSession:
         session.history = TuningHistory.from_dict(payload["history"])
         tuner._bind_session(session)
         tuner._reset_state(session.budget)
-        for evaluation in session.history.evaluations:
-            tuner._record_observation(
-                evaluation.configuration,
-                ObjectiveResult(value=evaluation.value, feasible=evaluation.feasible),
-            )
+        evaluations = session.history.evaluations
+        tuner._record_observations(
+            [e.configuration for e in evaluations],
+            [ObjectiveResult(value=e.value, feasible=e.feasible) for e in evaluations],
+        )
         tuner._load_state_dict(payload.get("tuner_state", {}))
         tuner._post_restore()
         _rng_state_from_json(tuner._rng, payload["rng"])

@@ -7,8 +7,8 @@ Tuners are *proposal state machines* driven through an ask/tell
   (the DoE queue), consuming randomness exactly as the historical push-driven
   ``_run`` loops did;
 * :meth:`Tuner._propose` emits the next ``k`` configurations to evaluate;
-* :meth:`Tuner._observe` updates per-observation caches after each result is
-  told back;
+* :meth:`Tuner._observe` updates per-observation caches with a batch of
+  told-back results (one per ``tell``, the whole history on restore);
 * :meth:`Tuner._state_dict` / :meth:`Tuner._load_state_dict` round-trip the
   tuner-private state (queues, bandits, dedup sets) through JSON for
   checkpoint / resume.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class Tuner(ABC):
         self.space = space
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._session: "TuningSession | None" = None
         self._history: TuningHistory | None = None
         self._objective: ObjectiveFunction | None = None
         self._evaluated_keys: set[tuple] = set()
@@ -105,8 +104,14 @@ class Tuner(ABC):
         return history
 
     def _bind_session(self, session: "TuningSession") -> None:
-        """Attach the session's history so ``self.history`` works mid-run."""
-        self._session = session
+        """Attach the session's history so ``self.history`` works mid-run.
+
+        Only the history is kept, never the session itself: a back-reference
+        would make ``TuningSession <-> Tuner`` a reference cycle, and an
+        evicted session's tuner (with its multi-MB caches) would then live
+        until the next cyclic garbage collection instead of being freed by
+        reference counting at once.
+        """
         self._history = session.history
 
     # ------------------------------------------------------------------
@@ -136,21 +141,31 @@ class Tuner(ABC):
         yet told, so batch proposals can avoid duplicating in-flight work.
         """
 
-    def _record_observation(
-        self, configuration: Mapping[str, Any], result: ObjectiveResult
+    def _record_observations(
+        self,
+        configurations: Sequence[Mapping[str, Any]],
+        results: Sequence[ObjectiveResult],
     ) -> None:
-        """Uniform bookkeeping applied to every told observation."""
-        self._evaluated_keys.add(self.space.freeze(configuration))
-        self._observe(configuration, result)
+        """Uniform bookkeeping applied to every batch of told observations."""
+        self._evaluated_keys.update(map(self.space.freeze, configurations))
+        self._observe(configurations, results)
 
-    def _observe(self, configuration: Mapping[str, Any], result: ObjectiveResult) -> None:
-        """Hook called after each evaluation is recorded.
+    def _observe(
+        self,
+        configurations: Sequence[Mapping[str, Any]],
+        results: Sequence[ObjectiveResult],
+    ) -> None:
+        """Hook called once a batch of evaluations has been recorded.
 
-        Subclasses override this to maintain per-observation caches (encoded
-        feature rows, incremental distance tensors, ...) in step with the
-        history instead of re-deriving them every iteration.  The hook is also
-        used to rebuild those caches when a checkpoint is restored, so it must
-        depend only on ``(configuration, result)`` — never on randomness.
+        The batch is the newest ``len(configurations)`` entries of the
+        history, in history order: one observation per ``tell``, the whole
+        history in a single call when a checkpoint is restored.  Subclasses
+        override this to maintain per-observation caches (encoded feature
+        rows, incremental distance tensors, ...) in step with the history
+        instead of re-deriving them every iteration.  Because the restore
+        path rebuilds those caches through this hook, it must depend only on
+        the observations — never on randomness — and a batch of ``n`` must
+        leave the same state as ``n`` batches of one.
         """
 
     # ------------------------------------------------------------------
@@ -207,5 +222,5 @@ class Tuner(ABC):
         result = self._objective(configuration)
         history.evaluation_seconds += time.perf_counter() - start
         history.append(configuration, result, phase=phase)
-        self._record_observation(configuration, result)
+        self._record_observations([configuration], [result])
         return result

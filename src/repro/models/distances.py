@@ -258,6 +258,19 @@ class DistanceComputer:
         return out
 
 
+def _grown_capacity(capacity: int, needed: int) -> int:
+    """Next buffer capacity: doubling from 8 until ``needed`` fits.
+
+    Capacities are powers of two whether rows arrive one at a time or in
+    one batch, so a cache rebuilt by a batched restore keeps the headroom
+    of one grown row by row, and the next append does not reallocate.
+    """
+    new_capacity = max(8, 2 * capacity)
+    while new_capacity < needed:
+        new_capacity *= 2
+    return new_capacity
+
+
 class IncrementalDistanceTensor:
     """Grows a symmetric train-train distance tensor one batch at a time.
 
@@ -306,7 +319,7 @@ class IncrementalDistanceTensor:
         capacity = 0 if self._rows_buf is None else self._rows_buf.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(needed, max(8, 2 * capacity))
+        new_capacity = _grown_capacity(capacity, needed)
         rows = np.empty((new_capacity, width))
         tensor = np.empty((depth, new_capacity, new_capacity))
         if self._n:
@@ -389,7 +402,7 @@ class CrossDistanceTensor:
         capacity = 0 if self._tensor_buf is None else self._tensor_buf.shape[2]
         if needed <= capacity:
             return
-        new_capacity = max(needed, max(8, 2 * capacity))
+        new_capacity = _grown_capacity(capacity, needed)
         tensor = np.empty(
             (self._computer.n_dimensions, self.n_pool, new_capacity)
         )

@@ -29,6 +29,7 @@ from repro.core.acquisition import AcquisitionFunction, FusedAcquisitionScorer
 from repro.core.baco import SurrogatePolicy
 from repro.core.feasibility import FeasibilityModel
 from repro.core.profiling import PHASES, PhaseProfiler
+from repro.core.session import array_from_json
 from repro.models.distances import (
     CrossDistanceTensor,
     DistanceComputer,
@@ -319,12 +320,11 @@ class TestPooledPolicyEndToEnd:
         payload = json.loads(json.dumps(tuner._state_dict()))
         state = payload["surrogate_policy"]
         assert state["spec"] == "fast,refit_every=3,sweep_every=10,pool=48"
-        assert len(state["pool_rows"]) == 48
+        pool = array_from_json(state["pool_rows"])
+        assert pool.shape == (48, tuner._candidate_pool.shape[1])
         assert state["pool_refill"] == sorted(set(state["pool_refill"]))
-        # floats survive the JSON round-trip bit-exactly
-        assert np.array_equal(
-            np.asarray(state["pool_rows"], dtype=float), tuner._candidate_pool
-        )
+        # floats survive the packed JSON round-trip bit-exactly
+        assert np.array_equal(pool, tuner._candidate_pool)
 
     def test_plain_fast_snapshot_carries_no_pool_keys(self):
         _, tuner, _ = self._run("fast,refit_every=3,sweep_every=10")
