@@ -11,6 +11,8 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
   evaluation trace bit for bit on one RISE, one TACO, and one HPVM2FPGA
   workload (``tests/data/bitcompat_trajectories.json``) — now driven through
   the ask/tell ``TuningSession`` underneath ``tune()``,
+* seeded sessions on the fast, pooled, RF and batched-ask acquisition paths
+  reproduce their recorded traces (``tests/data/bitcompat_search_paths.json``),
 * every tuner checkpointed mid-run and restored **in a fresh process**
   completes with a trace bit-identical to an uninterrupted run,
 * a session driven over the concurrent TCP tuning server — with another
@@ -46,6 +48,7 @@ from repro.space.parameters import (
 )
 
 FIXTURES = Path(__file__).parent / "data" / "bitcompat_trajectories.json"
+SEARCH_PATH_FIXTURES = Path(__file__).parent / "data" / "bitcompat_search_paths.json"
 
 
 def _params(metric: str = "kendall"):
@@ -208,6 +211,69 @@ class TestTrajectoryBitCompatibility:
         ]
         assert got == fx["evaluations"]
         assert list(history.best_so_far()) == fx["incumbent"]
+
+
+#: pinned acquisition-search path -> (tuner, surrogate policy, ask batch size)
+SEARCH_PATHS = {
+    "fast": ("BaCO", "fast,refit_every=3,sweep_every=10", 1),
+    "pooled": ("BaCO", "fast,refit_every=3,sweep_every=10,pool=48", 1),
+    "pooled_no_transformations": ("BaCO (no transformations)", "fast,pool=48", 1),
+    "rf_surrogate": ("BaCO (RF surrogate)", None, 1),
+    "pooled_rf_at": ("BaCO", "fast,rf_at=8,pool=32", 1),
+    "exact_batch4": ("BaCO", None, 4),
+    "pooled_batch4": ("BaCO", "fast,refit_every=3,sweep_every=10,pool=48", 4),
+}
+
+
+def search_path_trace(benchmark_name, tuner_name, policy, batch_size, seed, budget):
+    """A seeded session's finished trace as JSON data (wall-clock stripped)."""
+    from repro.core.session import drive
+    from repro.experiments.runner import make_session
+
+    session, bench = make_session(
+        benchmark_name, tuner_name, budget, seed, surrogate_policy=policy
+    )
+    payload = drive(session, bench.evaluator, batch_size=batch_size).to_dict()
+    payload.pop("tuner_seconds", None)
+    payload.pop("evaluation_seconds", None)
+    return json.loads(json.dumps(payload))
+
+
+class TestSearchPathBitCompatibility:
+    """Absolute traces of every acquisition-search path, not just ``exact``.
+
+    ``tests/data/bitcompat_search_paths.json`` pins the fresh-batch climb
+    under the fast and RF surrogates, the pooled climb with and without the
+    cross-distance tensor (the no-transformations ablation cannot share it),
+    the pooled policy's switch to the fresh batch once RF takes over, and
+    the k>1 winner back-fill of batched asks.  Resume-vs-uninterrupted checks
+    compare two runs of the same code; these compare against recorded data,
+    so a refactor of the climber that moves a single proposal fails here.
+    """
+
+    SEED = 11
+    BUDGET = 20
+    CASES = [
+        *((bench, path) for bench in ("hpvm_bfs", "taco_spmm_scircuit") for path in SEARCH_PATHS),
+        ("rise_mm_gpu", "pooled"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def fixtures(self):
+        return json.loads(SEARCH_PATH_FIXTURES.read_text())
+
+    def test_fixture_covers_every_case(self, fixtures):
+        assert sorted(fixtures) == sorted(f"{bench}/{path}" for bench, path in self.CASES)
+
+    @pytest.mark.parametrize("benchmark_name,path", CASES)
+    def test_identical_trace(self, fixtures, benchmark_name, path):
+        tuner_name, policy, batch_size = SEARCH_PATHS[path]
+        fx = fixtures[f"{benchmark_name}/{path}"]
+        assert (fx["tuner"], fx["policy"], fx["batch_size"]) == (tuner_name, policy, batch_size)
+        got = search_path_trace(
+            benchmark_name, tuner_name, policy, batch_size, fx["seed"], fx["budget"]
+        )
+        assert got == fx["trace"]
 
 
 # the script a "crashed and restarted" tuning process would run: load the
