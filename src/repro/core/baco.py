@@ -111,13 +111,12 @@ class SurrogatePolicy:
     that survives across asks: instead of redrawing the full random batch
     every iteration, only the rows consumed as climb starts (or filtered out
     by the refreshed ε_f) are resampled, and the rest keep their cached
-    distance columns.  ``cache=off`` disables the companion test–train
-    cross-distance tensor (:class:`~repro.models.distances.
-    CrossDistanceTensor`) while keeping the pool itself — a debugging /
-    ablation knob; the default ``cache=on`` makes pool predicts a pure
-    kernel-apply.  Both ride on the ``fast`` mode because the pool redraw
-    pattern consumes a different RNG stream than the exact path's
-    batch-per-ask draw.
+    distance columns in the companion test–train cross-distance tensor
+    (:class:`~repro.models.distances.CrossDistanceTensor`), which makes pool
+    predicts a pure kernel-apply whenever the model and search encodings
+    agree.  The pool rides on the ``fast`` mode because its redraw pattern
+    consumes a different RNG stream than the exact path's batch-per-ask
+    draw.
 
     ``rf_at=auto`` replaces the fixed count with a *measured* switch: the
     tuner keeps an exponential moving average of the per-iteration GP fit
@@ -133,7 +132,7 @@ class SurrogatePolicy:
     Spec strings round-trip through :meth:`parse` / :meth:`spec`:
     ``"exact"``, ``"fast"``,
     ``"fast,refit_every=8,sweep_every=40,rf_at=256"``,
-    ``"fast,rf_at=auto"``, or ``"fast,pool=512,cache=on"``.
+    ``"fast,rf_at=auto"``, or ``"fast,pool=512"``.
     """
 
     mode: str = "exact"
@@ -142,7 +141,6 @@ class SurrogatePolicy:
     rf_threshold: int | None = None
     rf_auto: bool = False
     pool_size: int | None = None
-    cross_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "fast"):
@@ -160,8 +158,6 @@ class SurrogatePolicy:
                 raise ValueError("pool= requires the 'fast' policy mode")
             if self.pool_size < 2:
                 raise ValueError("pool_size must be >= 2")
-        elif not self.cross_cache:
-            raise ValueError("cache=off requires a candidate pool (pool=N)")
 
     @classmethod
     def parse(cls, spec: "str | SurrogatePolicy | None") -> "SurrogatePolicy":
@@ -188,7 +184,6 @@ class SurrogatePolicy:
             "sweep_every": "sweep_every",
             "rf_at": "rf_threshold",
             "pool": "pool_size",
-            "cache": "cross_cache",
         }
         seen: set[str] = set()
         for option in options:
@@ -205,12 +200,6 @@ class SurrogatePolicy:
             seen.add(field)
             if field == "rf_threshold" and value.strip() == "auto":
                 kwargs["rf_auto"] = True
-                continue
-            if field == "cross_cache":
-                flag = value.strip()
-                if flag not in ("on", "off"):
-                    raise ValueError("policy option 'cache' must be 'on' or 'off'")
-                kwargs["cross_cache"] = flag == "on"
                 continue
             try:
                 kwargs[field] = int(value)
@@ -232,8 +221,6 @@ class SurrogatePolicy:
             spec += ",rf_at=auto"
         if self.pool_size is not None:
             spec += f",pool={self.pool_size}"
-            if not self.cross_cache:
-                spec += ",cache=off"
         return spec
 
     def surrogate_for(self, n_train: int) -> str:
@@ -388,10 +375,11 @@ class BacoTuner(Tuner):
         }
         self._auto_rf_state: dict[str, Any] = dict(_AUTO_RF_STATE_EMPTY)
         self._restored_chol_base_n = 0
-        # Acquisition hot-path caches (pooled fast policies only): the
-        # persistent candidate pool (space-encoder rows), the indices due a
-        # resample before the next ask, the pool↔train cross-distance tensor,
-        # and the cross-ask neighbour-matrix cache of the pooled climb.
+        # Acquisition hot-path caches: the persistent candidate pool
+        # (space-encoder rows), the indices due a resample before the next
+        # ask, and the pool↔train cross-distance tensor serve pooled fast
+        # policies only; the cross-ask neighbour-matrix cache serves the
+        # climb in every mode.
         self._candidate_pool: np.ndarray | None = None
         self._pool_refill: list[int] = []
         self._cross_distance = CrossDistanceTensor(self._model_distance)
@@ -612,13 +600,15 @@ class BacoTuner(Tuner):
         if self._policy.pool_size is not None and surrogate_kind == "gp":
             ranked = self._pooled_search(acquisition, settings, exclude, k)
         else:
+            encoder = self._space_encoder
             ranked = multistart_local_search_batch(
                 self.space,
-                acquisition,
+                lambda rows: acquisition.evaluate_rows(rows, encoder),
                 self._rng,
                 settings=settings,
                 exclude=exclude,
                 k=k,
+                neighbour_cache=self._neighbour_cache,
                 profiler=profiler,
             )
         chosen = [config for config, value in ranked if np.isfinite(value)]
@@ -639,7 +629,7 @@ class BacoTuner(Tuner):
         The pool lifecycle implements lazy invalidation: the first ask draws
         ``pool_size`` feasible rows, later asks resample only the slots the
         previous ask consumed as climb starts or found dead under its ε_f
-        (acquisition ``-inf``).  When the cross-distance cache is active the
+        (acquisition ``-inf``).  When the model and search encodings agree the
         pool's test–train distance columns are maintained alongside — new
         observations append column blocks, resampled slots recompute their
         row — so priming the pool through the surrogate is a pure
@@ -665,7 +655,7 @@ class BacoTuner(Tuner):
         pool = self._candidate_pool
 
         cross_view = None
-        if self._policy.cross_cache and self._shared_model_encoding:
+        if self._shared_model_encoding:
             cross = self._cross_distance
             train_rows = self._gp_distance_cache.rows
             if full_redraw or cross.n_pool != len(pool):
@@ -681,7 +671,7 @@ class BacoTuner(Tuner):
         pool_values = scorer.prime_pool(pool, cross_distance=cross_view)
         ranked, consumed = pooled_local_search_batch(
             self.space,
-            scorer,
+            scorer.score_rows,
             pool,
             pool_values,
             settings=settings,
@@ -869,7 +859,6 @@ class BacoTuner(Tuner):
             return
         if (
             self._candidate_pool is not None
-            and self._policy.cross_cache
             and self._shared_model_encoding
             and len(self._feasible_values) >= 2
         ):

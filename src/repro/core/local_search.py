@@ -14,6 +14,14 @@ Because known constraints are enforced when generating both the random batch
 and the neighbourhoods, the acquisition optimizer only ever proposes feasible
 configurations.
 
+One climber implements steps 2–4; the two public entry points differ only in
+where the scored candidates and the starts come from:
+
+* :func:`multistart_local_search_batch` draws a fresh random batch per call
+  (step 1) and starts from its top ``n_starts`` rows;
+* :func:`pooled_local_search_batch` takes a persistent, pre-scored candidate
+  pool and starts from its best distinct rows with finite values.
+
 The whole optimizer runs in **row space**: the random batch is one
 ``SearchSpace.sample_rows`` call, every climb step materializes the union of
 all still-active starts' neighbourhoods as a single row matrix
@@ -27,7 +35,7 @@ for the returned winners, i.e. at the tuner boundary.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,10 +43,8 @@ from ..space.space import Configuration, SearchSpace
 
 __all__ = [
     "LocalSearchSettings",
-    "multistart_local_search",
     "multistart_local_search_batch",
     "pooled_local_search_batch",
-    "random_candidates",
     "random_candidate_rows",
 ]
 
@@ -46,6 +52,9 @@ __all__ = [
 #: space is immutable, so a row's feasible neighbourhood is a pure function
 #: of the row and entries never go stale — the cap only bounds memory
 _NEIGHBOUR_CACHE_MAX = 4096
+
+#: scores a matrix of encoded rows, one acquisition value per row
+RowScorer = Callable[[np.ndarray], np.ndarray]
 
 
 class LocalSearchSettings:
@@ -56,14 +65,12 @@ class LocalSearchSettings:
         n_random_samples: int = 256,
         n_starts: int = 5,
         max_steps: int = 32,
-        biased_cot: bool = False,
     ) -> None:
         if n_random_samples < 1 or n_starts < 1 or max_steps < 0:
             raise ValueError("local-search settings must be positive")
         self.n_random_samples = n_random_samples
         self.n_starts = min(n_starts, n_random_samples)
         self.max_steps = max_steps
-        self.biased_cot = biased_cot
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -75,142 +82,189 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def random_candidate_rows(
-    space: SearchSpace,
-    n_samples: int,
-    rng: np.random.Generator,
-    biased_cot: bool = False,
+    space: SearchSpace, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform feasible candidates as encoded rows; duplicates collapsed."""
-    return _unique_rows(space.sample_rows(rng, n_samples, biased_cot=biased_cot))
-
-
-def random_candidates(
-    space: SearchSpace,
-    n_samples: int,
-    rng: np.random.Generator,
-    biased_cot: bool = False,
-) -> list[Configuration]:
-    """Uniform feasible candidates; duplicates are collapsed (dict boundary)."""
-    rows = random_candidate_rows(space, n_samples, rng, biased_cot=biased_cot)
-    decode = space.encoder.decode
-    return [decode(row) for row in rows]
-
-
-def _row_scorer(
-    acquisition: Callable[[Sequence[Mapping[str, Any]]], np.ndarray],
-    space: SearchSpace,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt an acquisition to score encoded rows.
-
-    :class:`~repro.core.acquisition.AcquisitionFunction` (and the RF
-    acquisition) expose ``evaluate_rows`` and consume the matrix directly;
-    plain dict-based callables — custom acquisitions, tests — are served by
-    decoding each batch once.
-    """
-    evaluate_rows = getattr(acquisition, "evaluate_rows", None)
-    if evaluate_rows is not None:
-        encoder = space.encoder
-        return lambda rows: np.asarray(evaluate_rows(rows, encoder), dtype=float)
-    decode = space.encoder.decode
-    return lambda rows: np.asarray(
-        acquisition([decode(row) for row in rows]), dtype=float
-    )
-
-
-def multistart_local_search(
-    space: SearchSpace,
-    acquisition: Callable[[Sequence[Mapping[str, Any]]], np.ndarray],
-    rng: np.random.Generator,
-    settings: LocalSearchSettings | None = None,
-    exclude: Iterable[tuple] = (),
-) -> tuple[Configuration | None, float]:
-    """Return the best configuration according to ``acquisition``.
-
-    ``exclude`` contains frozen keys of configurations that must not be
-    returned (typically those already evaluated).  If every candidate is
-    excluded or has acquisition ``-inf``, ``(None, -inf)`` is returned and the
-    caller should fall back to random sampling.
-    """
-    ranked = multistart_local_search_batch(
-        space, acquisition, rng, settings=settings, exclude=exclude, k=1
-    )
-    if not ranked:
-        return None, -np.inf
-    return ranked[0]
+    return _unique_rows(space.sample_rows(rng, n_samples))
 
 
 def multistart_local_search_batch(
     space: SearchSpace,
-    acquisition: Callable[[Sequence[Mapping[str, Any]]], np.ndarray],
+    score_rows: RowScorer,
     rng: np.random.Generator,
     settings: LocalSearchSettings | None = None,
     exclude: Iterable[tuple] = (),
     k: int = 1,
+    neighbour_cache: dict[bytes, np.ndarray] | None = None,
     profiler: Any | None = None,
 ) -> list[tuple[Configuration, float]]:
-    """The top-``k`` distinct configurations according to ``acquisition``.
+    """The top-``k`` distinct configurations according to ``score_rows``.
 
-    One random-row batch and one lockstep multi-start climb serve the whole
-    batch: the per-start local optima are ranked by acquisition value
-    (de-duplicated by frozen key) and, when fewer than ``k`` remain, the
-    ranked random candidates back-fill the rest.
-
-    ``profiler`` — optional :class:`~repro.core.profiling.PhaseProfiler`;
-    attributes the candidate draw to ``"sample"`` and the climb bookkeeping to
-    ``"climb"`` (scoring attributes itself to ``"predict"``/``"ei"`` through
-    the acquisition).  Pure observation: the search is byte-identical with and
-    without it.
+    The fresh-batch start source: one random-row batch is drawn and scored,
+    and its top ``n_starts`` rows start the climb of :func:`_climb`.
+    ``exclude`` holds frozen keys that must not be returned (typically the
+    evaluated configurations); fewer than ``k`` results — possibly none —
+    come back when too few scored candidates remain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     settings = settings or LocalSearchSettings()
-    excluded = set(exclude)
-    scorer = _row_scorer(acquisition, space)
-    decode = space.encoder.decode
-
-    def _phase(name: str):
-        return profiler.phase(name) if profiler is not None else nullcontext()
-
-    with _phase("sample"):
-        candidates = random_candidate_rows(
-            space, settings.n_random_samples, rng, biased_cot=settings.biased_cot
-        )
-    if len(candidates) == 0:
+    with _phase(profiler, "sample"):
+        rows = random_candidate_rows(space, settings.n_random_samples, rng)
+    if len(rows) == 0:
         return []
-    values = scorer(candidates)
-
+    values = score_rows(rows)
     order = np.argsort(-values)
-    n_starts = min(settings.n_starts, len(candidates))
-    starts = candidates[order[:n_starts]].copy()
-    start_values = values[order[:n_starts]].astype(float)
+    return _climb(
+        space, score_rows, rows, values, order, order[: settings.n_starts],
+        settings, exclude, k, neighbour_cache, profiler,
+    )
 
-    # Lockstep hill climbing: per step, one neighbour-matrix build and one
-    # batched acquisition call cover every active start; each start then takes
-    # the argmax within its own owner slice, exactly as if it climbed alone.
+
+def pooled_local_search_batch(
+    space: SearchSpace,
+    score_rows: RowScorer,
+    pool_rows: np.ndarray,
+    pool_values: np.ndarray,
+    settings: LocalSearchSettings | None = None,
+    exclude: Iterable[tuple] = (),
+    k: int = 1,
+    neighbour_cache: dict[bytes, np.ndarray] | None = None,
+    profiler: Any | None = None,
+) -> tuple[list[tuple[Configuration, float]], list[int]]:
+    """The top-``k`` distinct configurations of a *persistent* candidate pool.
+
+    The pool start source: instead of drawing a fresh random batch, the
+    caller hands in the cross-ask pool (``pool_rows``) together with its
+    acquisition values (``pool_values``, typically from
+    :meth:`~repro.core.acquisition.FusedAcquisitionScorer.prime_pool` over
+    the cached cross-distance tensor), and ``score_rows`` is that scorer's
+    :meth:`~repro.core.acquisition.FusedAcquisitionScorer.score_rows`, whose
+    per-ask memo folds away re-visited rows during the climb.
+
+    Dead starts are pruned up front: rows whose pooled value is ``-inf`` or
+    NaN (ε_f-filtered or otherwise unscorable) never seed a climb, and
+    duplicate rows seed it once.
+
+    Returns ``(ranked, start_indices)`` where ``start_indices`` are the pool
+    row indices consumed as climb starts — the caller refreshes exactly those
+    slots before the next ask.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    settings = settings or LocalSearchSettings()
+    pool_values = np.asarray(pool_values, dtype=float)
+    order = np.argsort(-pool_values)
+
+    # Walk the ranking, keep distinct rows with finite acquisition values.  A
+    # pool drained to all--inf (every candidate below ε_f) yields no starts
+    # and no back-fill, and the caller falls back to random sampling.
+    start_indices: list[int] = []
+    seen_start_keys: set[bytes] = set()
+    for i in order:
+        if len(start_indices) == settings.n_starts:
+            break
+        if not np.isfinite(pool_values[i]):
+            continue
+        key = pool_rows[i].tobytes()
+        if key in seen_start_keys:
+            continue
+        seen_start_keys.add(key)
+        start_indices.append(int(i))
+    ranked = _climb(
+        space, score_rows, pool_rows, pool_values, order, start_indices,
+        settings, exclude, k, neighbour_cache, profiler,
+    )
+    return ranked, start_indices
+
+
+def _phase(profiler: Any | None, name: str):
+    return profiler.phase(name) if profiler is not None else nullcontext()
+
+
+def _climb(
+    space: SearchSpace,
+    score_rows: RowScorer,
+    rows: np.ndarray,
+    values: np.ndarray,
+    order: np.ndarray,
+    start_indices: Sequence[int],
+    settings: LocalSearchSettings,
+    exclude: Iterable[tuple],
+    k: int,
+    neighbour_cache: dict[bytes, np.ndarray] | None,
+    profiler: Any | None,
+) -> list[tuple[Configuration, float]]:
+    """Lockstep hill climb from ``rows[start_indices]``; the ranked top-``k``.
+
+    ``rows`` are scored candidates (``values``, ranked best-first by
+    ``order``) and double as the back-fill source.  ``neighbour_cache`` maps
+    ``row.tobytes()`` to that row's feasible neighbour matrix.
+    Neighbourhoods are pure functions of the row (the space is immutable),
+    so a caller-owned cache persists *across asks*; only rows never climbed
+    through before pay a ``neighbour_rows_batch`` call.  Because that call
+    is owner-major, the fused matrix of cached and fresh neighbourhoods is
+    the matrix an uncached build would have returned.
+
+    ``profiler`` — optional :class:`~repro.core.profiling.PhaseProfiler`;
+    attributes the climb bookkeeping to ``"climb"`` (scoring attributes
+    itself to ``"predict"``/``"ei"`` through the acquisition).  Pure
+    observation: the search is byte-identical with and without it.
+    """
+    excluded = set(exclude)
+    decode = space.encoder.decode
+    if neighbour_cache is None:
+        neighbour_cache = {}
+    n_starts = len(start_indices)
+    starts = rows[start_indices].copy()
+    start_values = values[start_indices].astype(float)
     current = starts.copy()
     current_values = start_values.copy()
     active = list(range(n_starts))
+
+    # Per step, one neighbour-matrix build (cache misses only) and one
+    # batched acquisition call cover every active start; each start then
+    # takes the argmax within its own owner slice, exactly as if it climbed
+    # alone.
     for _ in range(settings.max_steps):
         if not active:
             break
-        with _phase("climb"):
-            batch, owners = space.neighbour_rows_batch(current[active])
-        if len(batch) == 0:
-            break
-        batch_values = scorer(batch)
-        with _phase("climb"):
+        with _phase(profiler, "climb"):
+            mats: list[np.ndarray | None] = []
+            missing_positions: list[int] = []
+            for position in range(len(active)):
+                mat = neighbour_cache.get(current[active[position]].tobytes())
+                if mat is None:
+                    missing_positions.append(position)
+                mats.append(mat)
+            if missing_positions:
+                expand_rows = current[[active[p] for p in missing_positions]]
+                batch, owners = space.neighbour_rows_batch(expand_rows)
+                for j, position in enumerate(missing_positions):
+                    mat = np.array(batch[owners == j], copy=True)
+                    neighbour_cache[expand_rows[j].tobytes()] = mat
+                    mats[position] = mat
+                while len(neighbour_cache) > _NEIGHBOUR_CACHE_MAX:
+                    neighbour_cache.pop(next(iter(neighbour_cache)))
+            lengths = [len(mat) for mat in mats]
+            if sum(lengths) == 0:
+                break
+            fused = np.concatenate([mat for mat in mats if len(mat)], axis=0)
+        fused_values = score_rows(fused)
+        with _phase(profiler, "climb"):
             still_active: list[int] = []
+            offset = 0
             for position, start_index in enumerate(active):
-                span = np.nonzero(owners == position)[0]
-                if len(span) == 0:
+                length = lengths[position]
+                if length == 0:
                     continue
-                span_values = batch_values[span]
+                span_values = fused_values[offset : offset + length]
                 best = int(np.argmax(span_values))
-                if span_values[best] <= current_values[start_index]:
-                    continue
-                current[start_index] = batch[span[best]]
-                current_values[start_index] = float(span_values[best])
-                still_active.append(start_index)
+                if span_values[best] > current_values[start_index]:
+                    current[start_index] = mats[position][best]
+                    current_values[start_index] = float(span_values[best])
+                    still_active.append(start_index)
+                offset += length
             active = still_active
 
     # Per start: the first non-excluded of (climbed optimum, original start),
@@ -244,184 +298,17 @@ def multistart_local_search_batch(
         if len(results) == k:
             return results
 
-    # Not enough distinct local optima: back-fill from the ranked random
-    # candidates (also the fallback when every optimum was already evaluated).
+    # Not enough distinct local optima: back-fill from the ranked candidates
+    # (also the fallback when every optimum was already evaluated).
     for i in order:
         if len(results) == k:
             break
         if not np.isfinite(values[i]):
             continue
-        config = decode(candidates[i])  # repro: allow[hot-path-purity] boundary back-fill: decodes at most k ranked winners
+        config = decode(rows[i])  # repro: allow[hot-path-purity] boundary back-fill: decodes at most k ranked winners
         key = space.freeze(config)
         if key in excluded or key in taken:
             continue
         taken.add(key)
         results.append((config, float(values[i])))
     return results
-
-
-def pooled_local_search_batch(
-    space: SearchSpace,
-    scorer: Any,
-    pool_rows: np.ndarray,
-    pool_values: np.ndarray,
-    settings: LocalSearchSettings | None = None,
-    exclude: Iterable[tuple] = (),
-    k: int = 1,
-    neighbour_cache: dict[bytes, np.ndarray] | None = None,
-    profiler: Any | None = None,
-) -> tuple[list[tuple[Configuration, float]], list[int]]:
-    """Lockstep climb over a *persistent*, pre-scored candidate pool.
-
-    The cached counterpart of :func:`multistart_local_search_batch`: instead
-    of drawing a fresh random batch, the caller hands in the cross-ask pool
-    (``pool_rows``) together with its acquisition values (``pool_values``,
-    typically from :meth:`~repro.core.acquisition.FusedAcquisitionScorer.
-    prime_pool` over the cached cross-distance tensor), and ``scorer`` is a
-    :class:`~repro.core.acquisition.FusedAcquisitionScorer` whose memo folds
-    away re-visited rows during the climb.
-
-    Two cache layers make the climb cheap:
-
-    * ``neighbour_cache`` maps ``row.tobytes()`` to that row's feasible
-      neighbour matrix.  Neighbourhoods are pure functions of the row (the
-      space is immutable), so the cache persists *across asks*; only rows
-      never climbed through before pay a ``neighbour_rows_batch`` call.
-    * the scorer's per-ask memo deduplicates acquisition evaluations across
-      overlapping neighbourhoods and re-visited rows.
-
-    Dead starts are pruned up front: rows whose pooled value is ``-inf`` or
-    NaN (ε_f-filtered or otherwise unscorable) never seed a climb.  The
-    winner / ranking / de-dup / back-fill contract is identical to
-    :func:`multistart_local_search_batch`.
-
-    Returns ``(ranked, start_indices)`` where ``start_indices`` are the pool
-    row indices consumed as climb starts — the caller refreshes exactly those
-    slots before the next ask.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    settings = settings or LocalSearchSettings()
-    excluded = set(exclude)
-    decode = space.encoder.decode
-    if neighbour_cache is None:
-        neighbour_cache = {}
-
-    def _phase(name: str):
-        return profiler.phase(name) if profiler is not None else nullcontext()
-
-    pool_values = np.asarray(pool_values, dtype=float)
-    if len(pool_rows) == 0:
-        return [], []
-    order = np.argsort(-pool_values)
-
-    # Start selection with dead-start pruning: walk the ranking, keep distinct
-    # rows with finite acquisition values.  A pool drained to all--inf (every
-    # candidate below ε_f) yields no starts and the caller falls back to
-    # random sampling.
-    start_indices: list[int] = []
-    seen_start_keys: set[bytes] = set()
-    for i in order:
-        if len(start_indices) == settings.n_starts:
-            break
-        if not np.isfinite(pool_values[i]):
-            continue
-        key = pool_rows[i].tobytes()
-        if key in seen_start_keys:
-            continue
-        seen_start_keys.add(key)
-        start_indices.append(int(i))
-    if not start_indices:
-        return [], []
-
-    n_starts = len(start_indices)
-    starts = pool_rows[start_indices].copy()
-    start_values = pool_values[start_indices].astype(float)
-    current = starts.copy()
-    current_values = start_values.copy()
-    active = list(range(n_starts))
-
-    for _ in range(settings.max_steps):
-        if not active:
-            break
-        with _phase("climb"):
-            # Gather neighbour matrices: cache hits are free, the misses are
-            # expanded in one batched call and split by owner.
-            mats: list[np.ndarray | None] = []
-            missing_positions: list[int] = []
-            for position in range(len(active)):
-                mat = neighbour_cache.get(current[active[position]].tobytes())
-                if mat is None:
-                    missing_positions.append(position)
-                mats.append(mat)
-            if missing_positions:
-                expand_rows = current[[active[p] for p in missing_positions]]
-                batch, owners = space.neighbour_rows_batch(expand_rows)
-                for j, position in enumerate(missing_positions):
-                    mat = np.array(batch[owners == j], copy=True)
-                    neighbour_cache[expand_rows[j].tobytes()] = mat
-                    mats[position] = mat
-                while len(neighbour_cache) > _NEIGHBOUR_CACHE_MAX:
-                    neighbour_cache.pop(next(iter(neighbour_cache)))
-            lengths = [len(mat) for mat in mats]
-            total = sum(lengths)
-            if total == 0:
-                break
-            fused = np.concatenate([mat for mat in mats if len(mat)], axis=0)
-        fused_values = scorer.score_rows(fused)
-        with _phase("climb"):
-            still_active: list[int] = []
-            offset = 0
-            for position, start_index in enumerate(active):
-                length = lengths[position]
-                if length == 0:
-                    continue
-                span_values = fused_values[offset : offset + length]
-                best = int(np.argmax(span_values))
-                if span_values[best] > current_values[start_index]:
-                    current[start_index] = mats[position][best]
-                    current_values[start_index] = float(span_values[best])
-                    still_active.append(start_index)
-                offset += length
-            active = still_active
-
-    winners: list[tuple[Configuration, float]] = []
-    for i in range(n_starts):
-        candidate_pool = [
-            (current[i], float(current_values[i])),
-            (starts[i], float(start_values[i])),
-        ]
-        # repro: allow[hot-path-purity] tuner boundary: decodes at most two rows (climbed optimum, original start) per start
-        for row, row_value in candidate_pool:
-            config = decode(row)
-            if space.freeze(config) in excluded:
-                continue
-            if row_value > -np.inf:
-                winners.append((config, row_value))
-            break
-    winners.sort(key=lambda pair: -pair[1])
-
-    results: list[tuple[Configuration, float]] = []
-    taken: set[tuple] = set()
-    for config, config_value in winners:
-        key = space.freeze(config)
-        if key in taken:
-            continue
-        taken.add(key)
-        results.append((config, config_value))
-        if len(results) == k:
-            return results, start_indices
-
-    # Back-fill from the ranked pool itself, mirroring the random-batch path.
-    for i in order:
-        if len(results) == k:
-            break
-        if not np.isfinite(pool_values[i]):
-            continue
-        config = decode(pool_rows[i])  # repro: allow[hot-path-purity] boundary back-fill: decodes at most k ranked winners
-        key = space.freeze(config)
-        if key in excluded or key in taken:
-            continue
-        taken.add(key)
-        results.append((config, float(pool_values[i])))
-    return results, start_indices

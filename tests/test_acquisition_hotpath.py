@@ -259,15 +259,14 @@ class TestFusedScoringEquivalence:
 class TestPoolPolicySpec:
     def test_parse_spec_round_trip(self):
         for spec, expect in [
-            ("fast,pool=512", (512, True)),
-            ("fast,refit_every=16,pool=64,cache=off", (64, False)),
-            ("fast,pool=8,cache=on", (8, True)),
+            ("fast,pool=512", 512),
+            ("fast,refit_every=16,pool=64", 64),
+            ("fast,pool=8", 8),
         ]:
             policy = SurrogatePolicy.parse(spec)
-            assert (policy.pool_size, policy.cross_cache) == expect
+            assert policy.pool_size == expect
             assert SurrogatePolicy.parse(policy.spec()) == policy
-        # cache=on is the default and stays implicit in the canonical spec
-        assert SurrogatePolicy.parse("fast,pool=8,cache=on").spec() == (
+        assert SurrogatePolicy.parse("fast,pool=8").spec() == (
             "fast,refit_every=8,sweep_every=40,pool=8"
         )
 
@@ -276,35 +275,46 @@ class TestPoolPolicySpec:
             "exact,pool=8",
             "fast,pool=1",
             "fast,pool=abc",
-            "fast,cache=off",          # cache without a pool
-            "fast,pool=8,cache=maybe",
             "fast,pool=8,pool=9",
         ):
             with pytest.raises(ValueError):
                 SurrogatePolicy.parse(bad)
+        # the cross-distance cache is no longer a policy option: the pool
+        # uses it whenever the model and search encodings agree
+        for removed in ("fast,pool=8,cache=off", "fast,pool=8,cache=on", "fast,cache=off"):
+            with pytest.raises(ValueError, match="unknown policy option 'cache'"):
+                SurrogatePolicy.parse(removed)
         with pytest.raises(ValueError, match="fast"):
             SurrogatePolicy(pool_size=8)  # exact mode cannot pool
+
+
+#: a pooled policy, and the tuner variants that do / do not share the pool's
+#: cross-distance tensor (the no-transformations ablation's model encoding
+#: differs from the search encoding, so its pool predicts compute distances)
+POOLED_POLICY = "fast,refit_every=3,sweep_every=10,pool=48"
+POOLED_CASES = [
+    (POOLED_POLICY, "BaCO", True),
+    (POOLED_POLICY, "BaCO (no transformations)", False),
+]
 
 
 class TestPooledPolicyEndToEnd:
     BENCHMARK = "hpvm_bfs"
 
-    def _run(self, policy, budget=14):
+    def _run(self, policy, budget=14, tuner_name="BaCO"):
         from repro.experiments.runner import make_tuner
         from repro.workloads.registry import get_benchmark
 
         bench = get_benchmark(self.BENCHMARK)
-        tuner = make_tuner("BaCO", bench.space, seed=17, surrogate_policy=policy)
+        tuner = make_tuner(tuner_name, bench.space, seed=17, surrogate_policy=policy)
         history = tuner.tune(bench.evaluator, budget, benchmark_name=bench.name)
         return bench, tuner, history
 
-    @pytest.mark.parametrize(
-        "policy",
-        ["fast,refit_every=3,sweep_every=10,pool=48",
-         "fast,refit_every=3,sweep_every=10,pool=48,cache=off"],
-    )
-    def test_pooled_run_completes_and_profiles(self, policy):
-        _, tuner, history = self._run(policy)
+    @pytest.mark.parametrize("policy,tuner_name,uses_cross", POOLED_CASES)
+    def test_pooled_run_completes_and_profiles(self, policy, tuner_name, uses_cross):
+        _, tuner, history = self._run(policy, tuner_name=tuner_name)
+        assert tuner._shared_model_encoding is uses_cross
+        assert (tuner._cross_distance.n_pool > 0) is uses_cross
         assert len(history) == 14
         assert all(np.isfinite(e.value) for e in history if e.feasible)
         summary = tuner.phase_profiler.summary()
@@ -341,27 +351,22 @@ class TestPooledPolicyCheckpointBitCompatibility:
     BENCHMARK = "hpvm_bfs"
     BUDGET = 18
     INTERRUPT_AT = 7
-    POLICIES = (
-        "fast,refit_every=3,sweep_every=10,pool=48",
-        "fast,refit_every=3,sweep_every=10,pool=48,cache=off",
-    )
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_in_process_resume_identical(self, policy):
+    @pytest.mark.parametrize("policy,tuner_name,uses_cross", POOLED_CASES)
+    def test_in_process_resume_identical(self, policy, tuner_name, uses_cross):
         from repro.core.session import drive
         from repro.experiments.runner import make_session, make_tuner, restore_session
         from repro.workloads.registry import get_benchmark
 
         bench = get_benchmark(self.BENCHMARK)
         reference = make_tuner(
-            "BaCO", bench.space, seed=17, surrogate_policy=policy
+            tuner_name, bench.space, seed=17, surrogate_policy=policy
         ).tune(bench.evaluator, self.BUDGET, benchmark_name=bench.name)
         expected = reference.to_dict()
         expected.pop("tuner_seconds", None)
         expected.pop("evaluation_seconds", None)
 
         session, _ = make_session(
-            self.BENCHMARK, "BaCO", self.BUDGET, 17, surrogate_policy=policy
+            self.BENCHMARK, tuner_name, self.BUDGET, 17, surrogate_policy=policy
         )
         while len(session.history) < self.INTERRUPT_AT:
             [suggestion] = session.ask(1)
@@ -375,6 +380,7 @@ class TestPooledPolicyCheckpointBitCompatibility:
         got.pop("tuner_seconds", None)
         got.pop("evaluation_seconds", None)
         assert got == expected
+        assert (resumed.tuner._cross_distance.n_pool > 0) is uses_cross
 
 
 class TestStatusTimings:
