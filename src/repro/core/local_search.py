@@ -100,11 +100,12 @@ def multistart_local_search_batch(
 ) -> list[tuple[Configuration, float]]:
     """The top-``k`` distinct configurations according to ``score_rows``.
 
-    The fresh-batch start source: one random-row batch is drawn and scored,
-    and its top ``n_starts`` rows start the climb of :func:`_climb`.
-    ``exclude`` holds frozen keys that must not be returned (typically the
-    evaluated configurations); fewer than ``k`` results — possibly none —
-    come back when too few scored candidates remain.
+    The fresh-batch start source: one random-row batch is drawn (charged
+    to the ``"sample"`` phase of ``profiler``) and scored, and its top
+    ``n_starts`` rows start the climb of :func:`_climb`.  ``exclude`` holds
+    frozen keys that must not be returned (typically the evaluated
+    configurations); fewer than ``k`` results — possibly none — come back
+    when too few scored candidates remain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -216,7 +217,7 @@ def _climb(
     if neighbour_cache is None:
         neighbour_cache = {}
     n_starts = len(start_indices)
-    starts = rows[start_indices].copy()
+    starts = rows[start_indices]
     start_values = values[start_indices].astype(float)
     current = starts.copy()
     current_values = start_values.copy()
