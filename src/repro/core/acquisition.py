@@ -32,14 +32,12 @@ from ..models.gp import GaussianProcess
 
 __all__ = [
     "expected_improvement",
-    "lower_confidence_bound",
     "floored_std",
     "AcquisitionFunction",
     "FusedAcquisitionScorer",
 ]
 
-#: floor applied to the predictive variance before taking the square root; a
-#: single shared constant so EI and LCB can never drift apart
+#: floor applied to the predictive variance before taking the square root
 _VARIANCE_FLOOR = 1e-18
 #: sqrt(2*pi), precomputed for the inline standard-normal pdf
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -69,13 +67,6 @@ def expected_improvement(
     return np.maximum(ei, 0.0)
 
 
-def lower_confidence_bound(
-    mean: np.ndarray, variance: np.ndarray, beta: float = 2.0
-) -> np.ndarray:
-    """Negated LCB so that *larger is better*, like EI (for minimization)."""
-    return -(mean - beta * floored_std(variance))
-
-
 class AcquisitionFunction:
     """Feasibility-weighted (noiseless) EI over configurations.
 
@@ -93,8 +84,6 @@ class AcquisitionFunction:
         assigned an acquisition value of ``-inf``.
     noiseless:
         Use the noise-free predictive variance (BaCO's modified EI).
-    kind:
-        ``"ei"`` (default) or ``"lcb"``.
     """
 
     def __init__(
@@ -104,12 +93,8 @@ class AcquisitionFunction:
         feasibility_model: Any | None = None,
         feasibility_threshold: float = 0.0,
         noiseless: bool = True,
-        kind: str = "ei",
-        lcb_beta: float = 2.0,
         profiler: Any | None = None,
     ) -> None:
-        if kind not in ("ei", "lcb"):
-            raise ValueError(f"unknown acquisition kind {kind!r}")
         if not math.isfinite(best_value):
             raise ValueError("best_value must be finite to compute EI")
         self.model = model
@@ -122,8 +107,6 @@ class AcquisitionFunction:
         self.feasibility_model = feasibility_model
         self.feasibility_threshold = feasibility_threshold
         self.noiseless = noiseless
-        self.kind = kind
-        self.lcb_beta = lcb_beta
         # The GP encodes with the (possibly transform-adjusted) model space,
         # the feasibility model with the original space.  When the two
         # layouts warp values identically, one encoded matrix serves both.
@@ -152,10 +135,7 @@ class AcquisitionFunction:
             mean, variance = self.model.predict(
                 configurations, include_noise=not self.noiseless
             )
-        if self.kind == "ei":
-            values = expected_improvement(mean, variance, self._best_model_scale)
-        else:
-            values = lower_confidence_bound(mean, variance, self.lcb_beta)
+        values = expected_improvement(mean, variance, self._best_model_scale)
         if self.feasibility_model is not None and self.feasibility_model.is_trained:
             if self._shared_encoding and rows is not None:
                 probability = self.feasibility_model.predict_probability_rows(rows)
@@ -227,10 +207,7 @@ class AcquisitionFunction:
                     )
         ei_phase = profiler.phase("ei") if profiler is not None else nullcontext()
         with ei_phase:
-            if self.kind == "ei":
-                values = expected_improvement(mean, variance, self._best_model_scale)
-            else:
-                values = lower_confidence_bound(mean, variance, self.lcb_beta)
+            values = expected_improvement(mean, variance, self._best_model_scale)
             if self.feasibility_model is not None and self.feasibility_model.is_trained:
                 if (
                     hasattr(self.feasibility_model, "encoder")

@@ -569,7 +569,3 @@ class GaussianProcess:
         ll -= 0.5 * len(y) * math.log(2.0 * math.pi)
         ll += self._log_prior(self.hyperparameters)
         return ll
-
-    def log_marginal_likelihood(self) -> float:
-        """Backwards-compatible alias for :meth:`log_likelihood`."""
-        return self.log_likelihood()

@@ -147,6 +147,20 @@ def _short(value: Any, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def _wire_int(request: Mapping[str, Any], key: str, default: int | None = None) -> int:
+    """An integer request field, accepted only as a JSON integer.
+
+    ``int(...)`` coercion would truncate ``0.99`` to suggestion 0 and read
+    ``true`` as 1, so floats, booleans and strings are rejected instead.
+    """
+    if key not in request and default is not None:
+        return default
+    value = request.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be a JSON integer, got {_short(value)}")
+    return value
+
+
 class _ManagedSession:
     """A named session plus its lock and autosave dirty flag."""
 
@@ -479,8 +493,8 @@ class SessionRegistry:
         session, benchmark = make_session(
             str(request["benchmark"]),
             str(request.get("tuner", "BaCO")),
-            int(request["budget"]),
-            int(request.get("seed", 0)),
+            _wire_int(request, "budget"),
+            _wire_int(request, "seed", 0),
             fidelity=str(request.get("fidelity", "fast")),
             surrogate_policy=surrogate_policy,
             propagate=propagate,
@@ -501,7 +515,7 @@ class SessionRegistry:
 
     def _op_ask(self, request: Mapping[str, Any]) -> dict[str, Any]:
         name = self._session_name(request)
-        n = int(request.get("n", 1))
+        n = _wire_int(request, "n", 1)
         with self._locked_entry(name) as entry:
             suggestions = entry.session.ask(n)
             done = entry.session.done
@@ -534,7 +548,7 @@ class SessionRegistry:
             raise ValueError(f"'elapsed' must be finite, got {elapsed!r}")
         with self._locked_entry(name) as entry:
             evaluation = entry.session.tell(
-                int(request["id"]),
+                _wire_int(request, "id"),
                 ObjectiveResult(value=value, feasible=feasible),
                 elapsed=elapsed,
             )

@@ -347,6 +347,54 @@ class TestErrorPaths:
         assert not service.handle(start_request(budget=0))["ok"]
 
 
+class TestWireIntegers:
+    """``n``, ``id``, ``budget`` and ``seed`` accept only JSON integers.
+
+    Regression: ``int(...)`` coercion read ``"id": 0.99`` as a tell of
+    suggestion 0, ``"id": true`` as suggestion 1, ``"n": 2.7`` as 2,
+    ``"budget": 4.9`` as 4 and ``"seed": true`` as seed 1."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("budget", 4.9), ("budget", True), ("budget", "4"),
+        ("seed", True), ("seed", 2.0), ("seed", None),
+    ])
+    def test_start_rejects_non_integer(self, field, value):
+        service = SessionService()
+        response = service.handle(start_request(**{field: value}))
+        assert response["ok"] is False
+        assert f"'{field}' must be a JSON integer" in response["error"]
+        assert service.handle({"op": "status"})["ok"] is False  # nothing started
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
+    def test_ask_rejects_non_integer_n(self, value):
+        service = SessionService()
+        service.handle(start_request())
+        response = service.handle({"op": "ask", "n": value})
+        assert response["ok"] is False
+        assert "'n' must be a JSON integer" in response["error"]
+        assert service.handle({"op": "status"})["pending_ids"] == []
+
+    @pytest.mark.parametrize("value", [0.99, 0.0, True, False, "0", None])
+    def test_tell_rejects_non_integer_id(self, value):
+        service = SessionService()
+        service.handle(start_request())
+        service.handle({"op": "ask", "n": 2})
+        response = service.handle({"op": "tell", "id": value, "value": 1.0})
+        assert response["ok"] is False
+        assert "'id' must be a JSON integer" in response["error"]
+        # neither suggestion was consumed: both still accept their tells
+        for sid in (0, 1):
+            assert service.handle({"op": "tell", "id": sid, "value": 1.0})["ok"]
+
+    def test_integers_still_accepted(self):
+        service = SessionService()
+        started = service.handle(start_request(budget=3, seed=5))
+        assert started["ok"] and started["budget"] == 3 and started["seed"] == 5
+        [suggestion] = service.handle({"op": "ask", "n": 1})["suggestions"]
+        told = service.handle({"op": "tell", "id": suggestion["id"], "value": 1.0})
+        assert told["ok"] is True
+
+
 def adversarial_lines(n: int = 520) -> list[str]:
     """A deterministic battery of adversarial request lines."""
     import random
