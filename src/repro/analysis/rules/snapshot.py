@@ -41,7 +41,6 @@ EXEMPT_ATTRS = {
     "_rng",
     "phase_profiler",
     "_history",
-    "_objective",
     "space",
     "seed",
     "name",

@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
+from ..core.acquisition import expected_improvement
 from ..core.doe import initial_design_queue
 from ..core.tuner import Tuner
 from ..models.gp import GaussianProcess
@@ -143,7 +143,7 @@ class YtoptLikeTuner(Tuner):
     ) -> np.ndarray:
         best = float(np.min(values))
         if self.surrogate == "rf":
-            features = self.space.encode_many(configs)
+            features = self.space.encode_batch(configs)
             model = RandomForestRegressor(n_trees=self.rf_trees, rng=self._rng)
             model.fit(features, values)
             mean, variance = model.predict_with_uncertainty(pool_rows)
@@ -164,10 +164,7 @@ class YtoptLikeTuner(Tuner):
                 mean, variance = model.predict_rows(pool_rows, include_noise=True)
             else:
                 mean, variance = model.predict(pool, include_noise=True)
-        std = np.sqrt(np.maximum(variance, 1e-18))
-        improvement = best - mean
-        z = improvement / std
-        return np.maximum(improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z), 0.0)
+        return expected_improvement(mean, variance, best)
 
     def _random_unseen(self, evaluated: set[tuple]) -> Configuration:
         """First unseen configuration of one batched draw (give-up: one more)."""

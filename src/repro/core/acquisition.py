@@ -9,13 +9,13 @@ BaCO uses Expected Improvement (EI) with two modifications (Sec. 3.3 and 4.2):
   hidden-constraint model, and configurations whose predicted feasibility is
   below a (randomly re-sampled) threshold ε_f are excluded.
 
-All functions operate on the GP's *model scale* (log-transformed and
-standardized objective), in minimization form.
+All functions operate on the surrogate's *model scale* (e.g. the GP's
+log-transformed and standardized objective), in minimization form.
 
-:class:`AcquisitionFunction` is batch-first: a call encodes the whole
-candidate set once, runs a single GP predict over the encoded rows, and —
-when the feasibility model shares the GP's encoding layout — reuses the same
-rows for a single batched random-forest pass.
+:class:`AcquisitionFunction` is batch-first and row-space only: it scores a
+matrix of search-space rows with a single surrogate predict and a single
+batched pass of the random-forest feasibility model over the same rows.
+It knows no encoders — the tuner binds each surrogate to a row predictor.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import ndtr
-
-from ..models.gp import GaussianProcess
 
 __all__ = [
     "expected_improvement",
@@ -68,168 +66,78 @@ def expected_improvement(
 
 
 class AcquisitionFunction:
-    """Feasibility-weighted (noiseless) EI over configurations.
+    """Feasibility-weighted EI over encoded search-space rows.
+
+    The one acquisition for every surrogate: the caller binds the model to a
+    row predictor, so the GP and the RF surrogate of the Fig. 8 comparison
+    score candidates through the same :meth:`evaluate_rows`.
 
     Parameters
     ----------
-    model:
-        A fitted :class:`~repro.models.gp.GaussianProcess` (or any object with
-        a compatible ``predict`` / ``to_model_scale`` interface).
-    best_value:
-        Best *raw* feasible objective value observed so far.
+    predict_rows:
+        ``predict_rows(rows, cross_distance) -> (mean, variance)`` on the
+        model scale, for rows in the search space's encoding.
+        ``cross_distance`` is the rows' cached test-train cross tensor or
+        ``None``; predictors without such a cache ignore it.
+    best:
+        Best feasible objective value observed so far, on the model scale.
     feasibility_model:
-        Optional model with ``predict_probability(configs) -> array``; when
-        given, the EI of each configuration is multiplied by its probability
-        of feasibility and configurations below ``feasibility_threshold`` are
-        assigned an acquisition value of ``-inf``.
-    noiseless:
-        Use the noise-free predictive variance (BaCO's modified EI).
+        Optional model with ``is_trained`` and
+        ``predict_probability_rows(rows) -> array``; once trained, the EI of
+        each row is multiplied by its probability of feasibility and rows
+        below ``feasibility_threshold`` score ``-inf``.
+    profiler:
+        Optional :class:`~repro.core.profiling.PhaseProfiler`; attributes the
+        predict / EI wall-clock to their phases (observation only — never
+        touches the arithmetic or any RNG).
     """
 
     def __init__(
         self,
-        model: GaussianProcess,
-        best_value: float,
+        predict_rows: Callable[
+            [np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]
+        ],
+        best: float,
         feasibility_model: Any | None = None,
         feasibility_threshold: float = 0.0,
-        noiseless: bool = True,
         profiler: Any | None = None,
     ) -> None:
-        if not math.isfinite(best_value):
-            raise ValueError("best_value must be finite to compute EI")
-        self.model = model
-        #: optional :class:`~repro.core.profiling.PhaseProfiler`; attributes
-        #: the row-path predict / EI wall-clock to their phases (observation
-        #: only — never touches the arithmetic or any RNG)
-        self.profiler = profiler
-        self.best_value = best_value
-        self._best_model_scale = float(model.to_model_scale(best_value))
+        if not math.isfinite(best):
+            raise ValueError("best must be finite to compute EI")
+        self.predict_rows = predict_rows
+        self.best = best
         self.feasibility_model = feasibility_model
         self.feasibility_threshold = feasibility_threshold
-        self.noiseless = noiseless
-        # The GP encodes with the (possibly transform-adjusted) model space,
-        # the feasibility model with the original space.  When the two
-        # layouts warp values identically, one encoded matrix serves both.
-        self._shared_encoding = (
-            feasibility_model is not None
-            and hasattr(model, "encoder")
-            and hasattr(feasibility_model, "encoder")
-            and model.encoder.signature() == feasibility_model.encoder.signature()
-        )
-
-    def __call__(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Acquisition values (larger is better) for a batch of configurations.
-
-        The batch is encoded once and pushed through a single GP predict
-        call (and, when trained, a single feasibility-model pass).
-        """
-        if not configurations:
-            return np.empty(0)
-        rows = None
-        if hasattr(self.model, "encoder"):
-            rows = self.model.encoder.encode_batch(configurations)
-            mean, variance = self.model.predict_rows(
-                rows, include_noise=not self.noiseless
-            )
-        else:
-            mean, variance = self.model.predict(
-                configurations, include_noise=not self.noiseless
-            )
-        values = expected_improvement(mean, variance, self._best_model_scale)
-        if self.feasibility_model is not None and self.feasibility_model.is_trained:
-            if self._shared_encoding and rows is not None:
-                probability = self.feasibility_model.predict_probability_rows(rows)
-            else:
-                probability = self.feasibility_model.predict_probability(configurations)
-            values = values * probability
-            values = np.where(
-                probability >= self.feasibility_threshold, values, -np.inf
-            )
-        return values
+        self.profiler = profiler
 
     def evaluate_rows(
-        self,
-        rows: np.ndarray,
-        encoder: Any,
-        cross_distance: np.ndarray | None = None,
+        self, rows: np.ndarray, cross_distance: np.ndarray | None = None
     ) -> np.ndarray:
-        """Acquisition values for pre-encoded rows in ``encoder``'s layout.
+        """Acquisition values (larger is better) for a batch of encoded rows.
 
-        The fast path of the row-space acquisition optimizer: when the GP's
-        model-space encoding matches the search space's (``signature()``
-        equality — true unless a transform ablation changes the warps), the
-        candidate matrix flows straight into ``predict_rows`` and the
-        feasibility RF without ever materializing configuration dicts.
-        Mismatching layouts decode once and re-encode for the model — the
-        correctness fallback for e.g. the no-transformations ablation.
-
-        ``cross_distance`` — cached test-train cross tensor for ``rows`` (the
-        persistent candidate pool's :class:`~repro.models.distances.
-        CrossDistanceTensor` view); forwarded to
-        :meth:`~repro.models.gp.GaussianProcess.predict_rows` on the
-        shared-encoding fast path so the predict skips distance computation
-        entirely.  Only valid when the model rows coincide with ``rows``
-        (signature equality), which the caller guarantees.
+        One predict and one feasibility-model pass for the whole batch.
+        ``cross_distance`` is forwarded to the predictor (the persistent
+        candidate pool's :class:`~repro.models.distances.CrossDistanceTensor`
+        view), which turns a GP predict into a pure kernel-apply.
         """
         if len(rows) == 0:
             return np.empty(0)
-        include_noise = not self.noiseless
         profiler = self.profiler
         predict_phase = (
             profiler.phase("predict") if profiler is not None else nullcontext()
         )
-        configurations = None
         with predict_phase:
-            if (
-                hasattr(self.model, "encoder")
-                and self.model.encoder.signature() == encoder.signature()
-            ):
-                if cross_distance is not None:
-                    mean, variance = self.model.predict_rows(
-                        rows, include_noise=include_noise, cross_distance=cross_distance
-                    )
-                else:
-                    # keyword omitted so duck-typed models with the plain
-                    # two-argument predict_rows keep working
-                    mean, variance = self.model.predict_rows(
-                        rows, include_noise=include_noise
-                    )
-            else:
-                configurations = encoder.decode_batch(rows)
-                if hasattr(self.model, "encoder"):
-                    mean, variance = self.model.predict_rows(
-                        self.model.encoder.encode_batch(configurations),
-                        include_noise=include_noise,
-                    )
-                else:
-                    mean, variance = self.model.predict(
-                        configurations, include_noise=include_noise
-                    )
+            mean, variance = self.predict_rows(rows, cross_distance)
         ei_phase = profiler.phase("ei") if profiler is not None else nullcontext()
         with ei_phase:
-            values = expected_improvement(mean, variance, self._best_model_scale)
+            values = expected_improvement(mean, variance, self.best)
             if self.feasibility_model is not None and self.feasibility_model.is_trained:
-                if (
-                    hasattr(self.feasibility_model, "encoder")
-                    and self.feasibility_model.encoder.signature() == encoder.signature()
-                ):
-                    probability = self.feasibility_model.predict_probability_rows(rows)
-                else:
-                    # duck-typed feasibility models (no encoder attribute) get
-                    # the dict surface, mirroring __call__'s hasattr guard
-                    if configurations is None:
-                        configurations = encoder.decode_batch(rows)
-                    probability = self.feasibility_model.predict_probability(
-                        configurations
-                    )
+                probability = self.feasibility_model.predict_probability_rows(rows)
                 values = values * probability
                 values = np.where(
                     probability >= self.feasibility_threshold, values, -np.inf
                 )
         return values
-
-    def single(self, configuration: Mapping[str, Any]) -> float:
-        return float(self([configuration])[0])
 
 
 class FusedAcquisitionScorer:
@@ -254,9 +162,8 @@ class FusedAcquisitionScorer:
     tensor, turning the pool-scoring predict into a pure kernel-apply.
     """
 
-    def __init__(self, acquisition: AcquisitionFunction, encoder: Any) -> None:
+    def __init__(self, acquisition: AcquisitionFunction) -> None:
         self._acquisition = acquisition
-        self._encoder = encoder
         self._memo: dict[bytes, float] = {}
         self._values_buf = np.empty(0)
 
@@ -274,9 +181,7 @@ class FusedAcquisitionScorer:
     ) -> np.ndarray:
         """Score the candidate pool in one pass and seed the memo with it."""
         values = np.asarray(
-            self._acquisition.evaluate_rows(
-                rows, self._encoder, cross_distance=cross_distance
-            ),
+            self._acquisition.evaluate_rows(rows, cross_distance=cross_distance),
             dtype=float,
         )
         memo = self._memo
@@ -308,7 +213,7 @@ class FusedAcquisitionScorer:
                 out[i] = cached
         if unseen:
             fresh = np.asarray(
-                self._acquisition.evaluate_rows(rows[unseen], self._encoder),
+                self._acquisition.evaluate_rows(rows[unseen]),
                 dtype=float,
             )
             for j, i in enumerate(unseen):

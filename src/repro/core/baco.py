@@ -46,11 +46,7 @@ from ..space.parameters import (
     RealParameter,
 )
 from ..space.space import Configuration, SearchSpace
-from .acquisition import (
-    AcquisitionFunction,
-    FusedAcquisitionScorer,
-    expected_improvement,
-)
+from .acquisition import AcquisitionFunction, FusedAcquisitionScorer
 from .doe import default_doe_size, initial_design_queue
 from .feasibility import FeasibilityModel, FeasibilityThresholdSchedule
 from .local_search import (
@@ -258,11 +254,6 @@ class BacoSettings:
     rf_trees: int = 32
     #: surrogate refit policy spec ("exact" default; see :class:`SurrogatePolicy`)
     surrogate_policy: str = "exact"
-    #: draw candidates from constraint-propagation pruned domains
-    #: (:meth:`SearchSpace.with_propagation`).  Opt-in: pruning changes the
-    #: sampler's RNG stream, so the default keeps every committed trajectory
-    #: bit-identical; feasibility semantics are unchanged either way.
-    constraint_propagation: bool = False
 
     def __post_init__(self) -> None:
         if self.surrogate not in ("gp", "rf"):
@@ -292,15 +283,8 @@ class BacoTuner(Tuner):
         settings: BacoSettings | None = None,
         seed: int | None = None,
     ) -> None:
-        settings = settings or BacoSettings()
-        if settings.constraint_propagation:
-            # swap in the propagating clone before anything captures a
-            # reference: self.space, the feasibility model, and the encoder
-            # all see the same object (the clone shares parameters,
-            # constraints, trees, and encoder with the original)
-            space = space.with_propagation()
         super().__init__(space, seed=seed)
-        self.settings = settings
+        self.settings = settings or BacoSettings()
         self._model_space = self._prepare_model_space(space, self.settings)
         self._feasibility = FeasibilityModel(
             space, n_trees=self.settings.feasibility_trees, rng=self._rng
@@ -512,8 +496,12 @@ class BacoTuner(Tuner):
             # n only grows, so the GP is never fitted again: release it
             # rather than carry its factor through every snapshot and reload
             self._fast_gp = None
+            if self.settings.use_transformations and min(values) <= 0:
+                # log targets need positive values — the GP's fit_rows
+                # rejects the same data and takes the same fallback
+                return self._random_fallback_batch(k, exclude)
             with profiler.phase("fit"):
-                acquisition = self._fit_rf_acquisition(self._make_surrogate("rf"), values)
+                predict_rows, best = self._fit_rf(values)
         else:
             if len(self._gp_distance_cache) != len(values):
                 # programming error (e.g. an _observe override skipping
@@ -524,18 +512,18 @@ class BacoTuner(Tuner):
                     f"rows but there are {len(values)} feasible observations"
                 )
             with profiler.phase("fit"):
-                surrogate = self._fit_gp(values)
-            if surrogate is None:
+                gp = self._fit_gp(values)
+            if gp is None:
                 return self._random_fallback_batch(k, exclude)
-            epsilon = self._epsilon_schedule.sample(self._rng)
-            acquisition = AcquisitionFunction(
-                surrogate,
-                best_value=min(values),
-                feasibility_model=self._feasibility,
-                feasibility_threshold=epsilon,
-                noiseless=self.settings.noiseless_ei,
-                profiler=profiler,
-            )
+            predict_rows = self._gp_predictor(gp)
+            best = float(gp.to_model_scale(min(values)))
+        acquisition = AcquisitionFunction(
+            predict_rows,
+            best,
+            feasibility_model=self._feasibility,
+            feasibility_threshold=self._epsilon_schedule.sample(self._rng),
+            profiler=profiler,
+        )
 
         settings = LocalSearchSettings(
             n_random_samples=self.settings.n_random_samples,
@@ -545,10 +533,9 @@ class BacoTuner(Tuner):
         if self._policy.pool_size is not None and surrogate_kind == "gp":
             ranked = self._pooled_search(acquisition, settings, exclude, k)
         else:
-            encoder = self._space_encoder
             ranked = multistart_local_search_batch(
                 self.space,
-                lambda rows: acquisition.evaluate_rows(rows, encoder),
+                acquisition.evaluate_rows,
                 self._rng,
                 settings=settings,
                 exclude=exclude,
@@ -612,7 +599,7 @@ class BacoTuner(Tuner):
                     cross.refresh_pool_rows(refreshed, pool[refreshed], train_rows)
             cross_view = cross.tensor
 
-        scorer = FusedAcquisitionScorer(acquisition, self._space_encoder)
+        scorer = FusedAcquisitionScorer(acquisition)
         pool_values = scorer.prime_pool(pool, cross_distance=cross_view)
         ranked, consumed = pooled_local_search_batch(
             self.space,
@@ -786,19 +773,42 @@ class BacoTuner(Tuner):
         return chosen
 
     # ------------------------------------------------------------------
-    def _fit_rf_acquisition(self, surrogate, values):
-        """EI over an RF surrogate (used for the Fig. 8 GP-vs-RF comparison)."""
+    def _gp_predictor(self, gp: GaussianProcess):
+        """Bind the fitted GP to the acquisition's ``predict_rows`` protocol.
+
+        When the model and search encodings agree the candidate rows flow
+        straight into ``predict_rows`` (with the pool's cross-distance
+        view); otherwise — e.g. the no-transformations ablation — the rows
+        are decoded once and re-encoded for the model.
+        """
+        include_noise = not self.settings.noiseless_ei
+        shared = self._shared_model_encoding
+        space_encoder = self._space_encoder
+
+        def predict_rows(rows, cross_distance):
+            if not shared:
+                rows = gp.encoder.encode_batch(space_encoder.decode_batch(rows))
+            return gp.predict_rows(
+                rows, include_noise=include_noise, cross_distance=cross_distance
+            )
+
+        return predict_rows
+
+    def _fit_rf(self, values: list[float]):
+        """Fit the RF surrogate (the Fig. 8 GP-vs-RF comparison).
+
+        Returns the acquisition's row predictor and the incumbent on the
+        model scale (log values under the transformations).  The RF consumes
+        the search space's encoding, so candidate rows need no re-encoding.
+        """
         targets = np.log(values) if self.settings.use_transformations else np.asarray(values, dtype=float)
-        features = np.vstack(self._space_rows_feasible)
-        surrogate.fit(features, targets)
-        epsilon = self._epsilon_schedule.sample(self._rng)
-        return _RFAcquisition(
-            surrogate,
-            best=float(np.min(targets)),
-            feasibility=self._feasibility,
-            epsilon=epsilon,
-            space=self.space,
-        )
+        surrogate = self._make_surrogate("rf")
+        surrogate.fit(np.vstack(self._space_rows_feasible), targets)
+
+        def predict_rows(rows, cross_distance):
+            return surrogate.predict_with_uncertainty(rows)
+
+        return predict_rows, float(np.min(targets))
 
     def _random_fallback(self, evaluated_keys: set[tuple]) -> Configuration:
         """Random feasible configuration, avoiding re-evaluations when possible.
@@ -815,36 +825,3 @@ class BacoTuner(Tuner):
                 return config
         return self.space.sample_one(self._rng)
 
-
-class _RFAcquisition:
-    """Feasibility-weighted EI over an RF surrogate, batch- and row-capable.
-
-    Both the surrogate and the feasibility model consume the original space's
-    encoding, so the row-space acquisition optimizer feeds its candidate
-    matrices straight through without any decode.
-    """
-
-    def __init__(self, surrogate, best, feasibility, epsilon, space) -> None:
-        self.surrogate = surrogate
-        self.best = best
-        self.feasibility = feasibility
-        self.epsilon = epsilon
-        self.space = space
-
-    def _from_rows(self, rows: np.ndarray) -> np.ndarray:
-        mean, var = self.surrogate.predict_with_uncertainty(rows)
-        ei = expected_improvement(mean, var, self.best)
-        if self.feasibility is not None and self.feasibility.is_trained:
-            probability = self.feasibility.predict_probability_rows(rows)
-            ei = np.where(probability >= self.epsilon, ei * probability, -np.inf)
-        return ei
-
-    def __call__(self, candidates) -> np.ndarray:
-        return self._from_rows(self.space.encode_batch(candidates))
-
-    def evaluate_rows(self, rows: np.ndarray, encoder) -> np.ndarray:
-        if encoder.signature() == self.space.encoder.signature():
-            return self._from_rows(rows)
-        return self._from_rows(
-            self.space.encode_batch(encoder.decode_batch(rows))
-        )

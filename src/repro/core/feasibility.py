@@ -86,16 +86,9 @@ class FeasibilityModel:
             return np.ones(n)
         return np.full(n, (self._n_feasible + 1.0) / (total + 2.0))
 
-    def predict_probability(
-        self, configurations: Sequence[Mapping[str, Any]]
-    ) -> np.ndarray:
-        """Probability that each configuration satisfies the hidden constraints."""
-        if not self.is_trained:
-            return self._untrained_probability(len(configurations))
-        return self._forest.predict_proba(self.encoder.encode_batch(configurations))
-
     def predict_probability_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Feasibility probabilities for pre-encoded rows (batched RF pass)."""
+        """Probability that each pre-encoded row satisfies the hidden
+        constraints (one batched RF pass)."""
         if not self.is_trained:
             return self._untrained_probability(len(rows))
         return self._forest.predict_proba(rows)

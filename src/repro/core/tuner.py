@@ -59,7 +59,6 @@ class Tuner(ABC):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._history: TuningHistory | None = None
-        self._objective: ObjectiveFunction | None = None
         self._evaluated_keys: set[tuple] = set()
         self._doe_queue: deque[Configuration] = deque()
         #: wall-clock per recommendation-loop phase (sample/fit/predict/ei/
@@ -84,22 +83,17 @@ class Tuner(ABC):
     ) -> TuningHistory:
         """Run the tuner for ``budget`` black-box evaluations.
 
-        A thin serial driver over :meth:`start_session`: ask one suggestion,
-        evaluate it, tell the result, repeat.  The produced trace is
-        bit-identical to the historical push-driven loop.
+        A thin serial driver over :meth:`start_session`:
+        :func:`~repro.core.session.drive` asks one suggestion, evaluates it,
+        tells the result, and repeats.  The produced trace is bit-identical
+        to the historical push-driven loop.
         """
+        from .session import drive
+
         session = self.start_session(budget, benchmark_name=benchmark_name)
-        self._objective = objective
         start = time.perf_counter()
-        while not session.done:
-            for suggestion in session.ask():
-                evaluation_start = time.perf_counter()
-                result = objective(suggestion.configuration)
-                session.tell(
-                    suggestion, result, elapsed=time.perf_counter() - evaluation_start
-                )
+        history = drive(session, objective)
         total = time.perf_counter() - start
-        history = session.history
         history.tuner_seconds = max(0.0, total - history.evaluation_seconds)
         return history
 
@@ -189,38 +183,13 @@ class Tuner(ABC):
         snapshotted hyper-parameters).  Must not consume randomness."""
 
     # ------------------------------------------------------------------
-    # history access and legacy helpers
+    # history access
     # ------------------------------------------------------------------
 
-    def _require_history(self) -> TuningHistory:
+    @property
+    def history(self) -> TuningHistory:
         if self._history is None:
             raise RuntimeError(
                 "no active tuning session — call tune() or start_session() first"
             )
         return self._history
-
-    @property
-    def history(self) -> TuningHistory:
-        return self._require_history()
-
-    def _remaining(self, budget: int) -> int:
-        return budget - len(self._require_history())
-
-    def _evaluate(self, configuration: Mapping[str, Any], phase: str = "learning") -> ObjectiveResult:
-        """Evaluate one configuration through the black box and record it.
-
-        Legacy push-style helper kept for ad-hoc use inside an active
-        :meth:`tune` call; the session drivers evaluate through ask/tell
-        instead.
-        """
-        history = self._require_history()
-        if self._objective is None:
-            raise RuntimeError(
-                "no active tuning session — call tune() or start_session() first"
-            )
-        start = time.perf_counter()
-        result = self._objective(configuration)
-        history.evaluation_seconds += time.perf_counter() - start
-        history.append(configuration, result, phase=phase)
-        self._record_observations([configuration], [result])
-        return result

@@ -378,10 +378,12 @@ def _bench_ei_maximization(
     labels = [bool(b) for b in np.random.default_rng(26).random(n_train) > 0.3]
     feasibility.fit(train, labels)
 
-    acquisition = AcquisitionFunction(
-        gp, best_value=min(values), feasibility_model=feasibility, noiseless=True
-    )
     best_model_scale = float(gp.to_model_scale(min(values)))
+    acquisition = AcquisitionFunction(
+        lambda rows, cross_distance: gp.predict_rows(rows, cross_distance=cross_distance),
+        best_model_scale,
+        feasibility_model=feasibility,
+    )
     computer = gp._distance
     hp = gp.hyperparameters
     forest = feasibility._forest
@@ -411,7 +413,10 @@ def _bench_ei_maximization(
         )
         return ei * probability
 
-    vector_s = _best_of(lambda: acquisition(candidates), repeats)
+    # encode + score from the same dicts the legacy flow starts from
+    vector_s = _best_of(
+        lambda: acquisition.evaluate_rows(space.encode_batch(candidates)), repeats
+    )
     legacy_s = _best_of(legacy, repeats)
     return {
         "n_train": n_train,

@@ -365,7 +365,6 @@ class SearchSpace:
         n_samples: int = 1,
         biased_cot: bool = False,
         max_rejection_rounds: int = 10_000,
-        propagate: bool | None = None,
     ) -> list[Configuration]:
         """Draw ``n_samples`` feasible configurations.
 
@@ -382,7 +381,6 @@ class SearchSpace:
             n_samples,
             biased_cot=biased_cot,
             max_rejection_rounds=max_rejection_rounds,
-            propagate=propagate,
         )
         decode = self.encoder.decode
         return [decode(row) for row in rows]
@@ -428,7 +426,6 @@ class SearchSpace:
         n_samples: int = 1,
         biased_cot: bool = False,
         max_rejection_rounds: int = 10_000,
-        propagate: bool | None = None,
     ) -> np.ndarray:
         """Draw ``n_samples`` feasible configurations as encoded rows.
 
@@ -438,9 +435,9 @@ class SearchSpace:
         evaluators.  Returns an ``(n_samples, width)`` float matrix in the
         shared :class:`~repro.space.encoding.ConfigEncoder` layout.
 
-        With ``propagate`` (``None`` defers to the space-level flag), free
-        parameters draw from their arc-consistency-pruned domains instead of
-        the full ranges — the compiled residual mask still runs as the final
+        On a propagating space (:meth:`with_propagation`), free parameters
+        draw from their arc-consistency-pruned domains instead of the full
+        ranges — the compiled residual mask still runs as the final
         filter, so feasibility is decided by exactly the same code either
         way.  Because pruning only removes values that appear in *no*
         feasible configuration, the accepted-sample distribution is unchanged
@@ -450,7 +447,6 @@ class SearchSpace:
         """
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")
-        effective_propagate = self.propagate if propagate is None else bool(propagate)
         encoder = self.encoder
         tree_tables = self._tree_tables()
         covered = self._covered_names()
@@ -460,7 +456,7 @@ class SearchSpace:
         for constraint, _ in residuals:
             residual_vars |= constraint.variables
         pruned_domains: dict[str, Domain] = {}
-        if effective_propagate:
+        if self.propagate:
             pruned_domains, _rounds = self._pruned_free_domains()
             empty = sorted(n for n, d in pruned_domains.items() if d.is_empty)
             if empty:
@@ -480,7 +476,7 @@ class SearchSpace:
             need = n_samples - accepted
             if drawn >= budget:
                 self._record_sample_stats(
-                    n_samples, accepted, drawn, rounds, effective_propagate,
+                    n_samples, accepted, drawn, rounds, self.propagate,
                     residuals, constraint_passed,
                 )
                 raise RuntimeError(self._rejection_failure_message())
@@ -497,7 +493,7 @@ class SearchSpace:
                     if name in residual_vars:
                         env[name] = raw[name][indices]
             for param in free_params:
-                if effective_propagate:
+                if self.propagate:
                     column = param.sample_batch_from(
                         rng, need, pruned_domains.get(param.name)
                     )
@@ -518,7 +514,7 @@ class SearchSpace:
             collected.append(rows)
             accepted += len(rows)
         self._record_sample_stats(
-            n_samples, accepted, drawn, rounds, effective_propagate,
+            n_samples, accepted, drawn, rounds, self.propagate,
             residuals, constraint_passed,
         )
         if not collected:
@@ -590,10 +586,10 @@ class SearchSpace:
             )
         if not stats.get("propagate", False) and self._residual_constraints:
             lines.append(
-                "  hint: constraint propagation (SearchSpace.with_propagation() "
-                "or BacoSettings(constraint_propagation=True)) prunes domains "
-                "before drawing and can cut rejection rates by orders of "
-                "magnitude on sparse spaces"
+                "  hint: constraint propagation (SearchSpace.with_propagation(), "
+                "or propagate=True when building a tuner or session) prunes "
+                "domains before drawing and can cut rejection rates by orders "
+                "of magnitude on sparse spaces"
             )
         return "\n".join(lines)
 
@@ -786,10 +782,6 @@ class SearchSpace:
 
     def encode_batch(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Encode a batch of configurations as an ``(n, width)`` float matrix."""
-        return self.encoder.encode_batch(configurations)
-
-    # kept as an alias for historical callers
-    def encode_many(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
         return self.encoder.encode_batch(configurations)
 
     def decode_row(self, row: Sequence[float]) -> Configuration:

@@ -205,11 +205,10 @@ class TestFusedScoringEquivalence:
         feasibility.fit_rows(train, labels)
 
         acquisition = AcquisitionFunction(
-            gp,
-            best_value=min(values),
+            lambda rows, cross: gp.predict_rows(rows, cross_distance=cross),
+            float(gp.to_model_scale(min(values))),
             feasibility_model=feasibility,
             feasibility_threshold=0.35,
-            noiseless=True,
         )
         return space, gp, train, acquisition
 
@@ -223,14 +222,14 @@ class TestFusedScoringEquivalence:
         space, gp, train, acquisition = self._fitted_stack(seed, n_train)
         pool = space.sample_rows(np.random.default_rng(seed + 5), n_pool)
 
-        reference = acquisition.evaluate_rows(pool, space.encoder)
+        reference = acquisition.evaluate_rows(pool)
 
         # cross-distance-backed prime over an incrementally built tensor
         cross = CrossDistanceTensor(gp._distance)
         cross.set_pool(pool, train[:2])
         for i in range(2, len(train)):
             cross.extend_train(train[i : i + 1])
-        scorer = FusedAcquisitionScorer(acquisition, space.encoder)
+        scorer = FusedAcquisitionScorer(acquisition)
         primed = scorer.prime_pool(pool, cross_distance=cross.tensor)
         assert np.allclose(primed, reference, atol=1e-10, rtol=0, equal_nan=True)
         assert scorer.n_memoized == len({row.tobytes() for row in pool})
@@ -245,11 +244,11 @@ class TestFusedScoringEquivalence:
         pool = space.sample_rows(np.random.default_rng(80), 10)
         fresh = space.sample_rows(np.random.default_rng(81), 6)
 
-        scorer = FusedAcquisitionScorer(acquisition, space.encoder)
+        scorer = FusedAcquisitionScorer(acquisition)
         scorer.prime_pool(pool)
         batch = np.vstack([fresh[:3], pool[2:5], fresh[3:]])
         got = np.array(scorer.score_rows(batch), copy=True)  # returned array is a view
-        expected = acquisition.evaluate_rows(batch, space.encoder)
+        expected = acquisition.evaluate_rows(batch)
         assert np.allclose(got, expected, atol=1e-10, rtol=0, equal_nan=True)
         # every distinct row of the batch is memoized now
         second = np.array(scorer.score_rows(batch), copy=True)

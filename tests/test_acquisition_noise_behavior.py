@@ -35,13 +35,19 @@ class TestNoiselessEI:
         best_config = configs[best_index]
         unseen_config = {"x": 20} if all(c["x"] != 20 for c in configs) else {"x": 19}
 
-        noiseless = AcquisitionFunction(gp, best_value=min(values), noiseless=True)
-        noisy = AcquisitionFunction(gp, best_value=min(values), noiseless=False)
+        best = float(gp.to_model_scale(min(values)))
+        noiseless = AcquisitionFunction(
+            lambda rows, _: gp.predict_rows(rows, include_noise=False), best
+        )
+        noisy = AcquisitionFunction(
+            lambda rows, _: gp.predict_rows(rows, include_noise=True), best
+        )
 
         # the noisy EI assigns the already-observed optimum a larger share of
         # its total acquisition mass than the noiseless EI does
-        noiseless_vals = noiseless([best_config, unseen_config])
-        noisy_vals = noisy([best_config, unseen_config])
+        rows = gp.encoder.encode_batch([best_config, unseen_config])
+        noiseless_vals = noiseless.evaluate_rows(rows)
+        noisy_vals = noisy.evaluate_rows(rows)
         ratio_noiseless = noiseless_vals[0] / (noiseless_vals.sum() + 1e-12)
         ratio_noisy = noisy_vals[0] / (noisy_vals.sum() + 1e-12)
         assert ratio_noiseless <= ratio_noisy + 1e-9

@@ -190,3 +190,39 @@ class TestBacoTuner:
         assert history.seed == 13
         assert history.tuner_seconds >= 0.0
         assert history.evaluation_seconds >= 0.0
+
+
+class TestRFSurrogateAcquisition:
+    """The RF surrogate scores through the shared acquisition function."""
+
+    def test_rf_asks_report_predict_and_ei_phases(self):
+        from repro.core.session import drive
+        from repro.experiments.runner import make_session
+
+        session, bench = make_session("hpvm_bfs", "BaCO (RF surrogate)", 14, 3)
+        drive(session, bench.evaluator)
+        calls = session.tuner.phase_profiler.summary()["calls"]
+        assert calls["predict"] > 0
+        assert calls["ei"] > 0
+
+    def test_rf_session_told_a_zero_finishes_its_budget(self):
+        import warnings
+
+        from repro.core.session import drive
+        from repro.experiments.runner import make_session
+
+        session, bench = make_session("hpvm_bfs", "BaCO (RF surrogate)", 14, 3)
+        told = []
+
+        def objective(configuration):
+            # the first evaluation reports a zero runtime: log targets would
+            # be -inf, so every later ask must fall back to random search
+            told.append(configuration)
+            return ObjectiveResult(0.0) if len(told) == 1 else bench.evaluator(configuration)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history = drive(session, objective)
+        assert len(history) == 14
+        assert history.best_value() == 0.0
+        assert session.tuner.phase_profiler.summary()["calls"]["predict"] == 0

@@ -42,6 +42,36 @@ class TestExpectedImprovement:
         ei = expected_improvement(means, np.full(21, 0.3), best_value=0.0)
         assert np.all(ei >= 0)
 
+    def test_matches_the_scipy_norm_formula_bit_for_bit(self):
+        """The ndtr kernel equals the textbook ``stats.norm`` EI exactly, so
+        baselines that used the latter replay unchanged on the shared one."""
+        from scipy import stats
+
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 64))
+            mean = 3.0 * rng.normal(size=n)
+            variance = rng.exponential(size=n) * rng.choice([1e-20, 1e-6, 1.0, 10.0])
+            best = float(rng.normal())
+            std = np.sqrt(np.maximum(variance, 1e-18))
+            improvement = best - mean
+            z = improvement / std
+            textbook = np.maximum(
+                improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z), 0.0
+            )
+            np.testing.assert_array_equal(
+                expected_improvement(mean, variance, best), textbook
+            )
+
+
+def gp_acquisition(gp, best_value, **kwargs):
+    """An acquisition over a fitted GP, with the raw incumbent ``best_value``."""
+    return AcquisitionFunction(
+        lambda rows, cross_distance: gp.predict_rows(rows, cross_distance=cross_distance),
+        float(gp.to_model_scale(best_value)),
+        **kwargs,
+    )
+
 
 class TestAcquisitionFunction:
     def _fitted_gp(self, rng, space):
@@ -53,39 +83,41 @@ class TestAcquisitionFunction:
 
     def test_prefers_promising_configurations(self, rng, small_space):
         gp, configs, values = self._fitted_gp(rng, small_space)
-        acquisition = AcquisitionFunction(gp, best_value=min(values))
+        acquisition = gp_acquisition(gp, min(values))
         good = {"p1": 4, "p2": 4, "sched": "static", "order": (0, 1, 2)}
         bad = {"p1": 16, "p2": 2, "sched": "static", "order": (0, 1, 2)}
-        values_out = acquisition([good, bad])
+        values_out = acquisition.evaluate_rows(small_space.encode_batch([good, bad]))
         assert values_out[0] >= values_out[1]
 
     def test_feasibility_weighting_zeroes_below_threshold(self, rng, small_space):
         gp, configs, values = self._fitted_gp(rng, small_space)
+        decode = small_space.encoder.decode
 
         class StubFeasibility:
             is_trained = True
 
-            def predict_probability(self, candidates):
-                return np.array([0.9 if c["p1"] <= 8 else 0.05 for c in candidates])
+            def predict_probability_rows(self, rows):
+                return np.array([0.9 if decode(r)["p1"] <= 8 else 0.05 for r in rows])
 
-        acquisition = AcquisitionFunction(
-            gp, best_value=min(values), feasibility_model=StubFeasibility(), feasibility_threshold=0.5
+        acquisition = gp_acquisition(
+            gp, min(values), feasibility_model=StubFeasibility(), feasibility_threshold=0.5
         )
         allowed = {"p1": 4, "p2": 2, "sched": "static", "order": (0, 1, 2)}
         cut = {"p1": 16, "p2": 2, "sched": "static", "order": (0, 1, 2)}
-        out = acquisition([allowed, cut])
+        out = acquisition.evaluate_rows(small_space.encode_batch([allowed, cut]))
         assert np.isfinite(out[0])
         assert out[1] == -np.inf
 
     def test_requires_finite_best(self, rng, small_space):
         gp, _, _ = self._fitted_gp(rng, small_space)
         with pytest.raises(ValueError):
-            AcquisitionFunction(gp, best_value=math.inf)
+            gp_acquisition(gp, math.inf)
 
     def test_empty_batch(self, rng, small_space):
         gp, _, values = self._fitted_gp(rng, small_space)
-        acquisition = AcquisitionFunction(gp, best_value=min(values))
-        assert acquisition([]).shape == (0,)
+        acquisition = gp_acquisition(gp, min(values))
+        empty = np.empty((0, small_space.encoder.width))
+        assert acquisition.evaluate_rows(empty).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +127,10 @@ class TestAcquisitionFunction:
 class TestFeasibilityModel:
     def test_untrained_predicts_prior(self, small_space):
         model = FeasibilityModel(small_space)
-        probabilities = model.predict_probability(
-            [{"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}]
+        probabilities = model.predict_probability_rows(
+            small_space.encode_batch(
+                [{"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}]
+            )
         )
         assert probabilities[0] == pytest.approx(1.0)
         assert not model.is_trained
@@ -106,7 +140,9 @@ class TestFeasibilityModel:
         configs = small_space.sample(rng, 10)
         model.fit(configs, [True] * 10)
         assert not model.is_trained
-        probability = model.predict_probability(configs[:1])[0]
+        probability = model.predict_probability_rows(
+            small_space.encode_batch(configs[:1])
+        )[0]
         assert 0.8 < probability <= 1.0
 
     def test_learns_hidden_constraint(self, small_space, rng):
@@ -117,8 +153,9 @@ class TestFeasibilityModel:
         assert model.is_trained
         feasible_cfg = {"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}
         infeasible_cfg = {"p1": 16, "p2": 2, "sched": "static", "order": (0, 1, 2)}
-        p_ok = model.predict_probability([feasible_cfg])[0]
-        p_bad = model.predict_probability([infeasible_cfg])[0]
+        p_ok, p_bad = model.predict_probability_rows(
+            small_space.encode_batch([feasible_cfg, infeasible_cfg])
+        )
         assert p_ok > p_bad
 
     def test_length_mismatch(self, small_space, rng):

@@ -268,10 +268,13 @@ def test_propagated_rows_are_feasible_and_default_stream_unchanged(space, seed):
         assume(False)
     assert len(rows) == 16
     assert bool(np.all(space.feasible_mask_rows(rows)))
-    # default-off consumes the RNG stream identically with the kwarg spelled
-    # out or omitted, and independently of the propagating view existing
+    # default-off consumes the RNG stream identically on the original space
+    # and on a view switched back off, independently of the propagating
+    # view existing
     baseline = space.sample_rows(np.random.default_rng(seed), 16)
-    explicit = space.sample_rows(np.random.default_rng(seed), 16, propagate=False)
+    explicit = propagating.with_propagation(False).sample_rows(
+        np.random.default_rng(seed), 16
+    )
     np.testing.assert_array_equal(baseline, explicit)
 
 
@@ -329,11 +332,12 @@ class TestPropagatedSampling:
         assert stats["acceptance_rate"] > 0.9  # both constraints fully pruned
         assert [c["name"] for c in stats["constraints"]] == ["a % 3 == 0", "eps >= 0.05"]
 
-    def test_settings_propagate_kwarg_overrides_flag(self):
+    def test_propagating_view_samples_feasible_rows(self):
         space = _divisible_space()
-        rows = space.sample_rows(np.random.default_rng(2), 32, propagate=True)
+        view = space.with_propagation()
+        rows = view.sample_rows(np.random.default_rng(2), 32)
         assert bool(np.all(space.feasible_mask_rows(rows)))
-        assert space.last_sample_stats["propagate"] is True
+        assert view.last_sample_stats["propagate"] is True
 
     def test_provably_infeasible_space_raises_immediately(self):
         space = SearchSpace(
@@ -505,16 +509,12 @@ class TestHardConstraintSuite:
 # ---------------------------------------------------------------------------
 
 class TestTunerPlumbing:
-    def test_baco_settings_flag_swaps_the_space(self):
-        from repro.core.baco import BacoSettings, BacoTuner
+    def test_make_tuner_propagate_swaps_the_space(self):
+        from repro.experiments.runner import make_tuner
         from repro.workloads import get_benchmark
 
         bench = get_benchmark("hard_constraint_1e-6")
-        tuner = BacoTuner(
-            bench.space,
-            settings=BacoSettings(constraint_propagation=True),
-            seed=0,
-        )
+        tuner = make_tuner("BaCO", bench.space, seed=0, propagate=True)
         assert tuner.space is not bench.space
         assert tuner.space.propagate
         assert not bench.space.propagate  # the registry singleton is untouched

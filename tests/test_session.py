@@ -7,11 +7,11 @@ Covers the tentpole guarantees of the API inversion:
   in-flight (asked-but-untold) suggestions,
 * batch asks never over-commit the budget, deduplicate against pending
   work, and yield deterministic traces for a fixed batch size,
-* the legacy helpers raise a clear error outside an active session,
-* the JSON-lines service drives a session end to end (``SessionService``
-  is now the single-session view of ``SessionRegistry``; the multi-session
-  registry, the TCP server, and the malformed-traffic hardening are covered
-  by ``test_server.py`` and ``test_service_hardening.py``).
+* ``tuner.history`` raises a clear error outside an active session,
+* the JSON-lines service drives a session end to end (a single-session
+  ``SessionRegistry``; the multi-session registry, the TCP server, and the
+  malformed-traffic hardening are covered by ``test_server.py`` and
+  ``test_service_hardening.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.baselines.ytopt import YtoptLikeTuner
 from repro.core.baco import BacoSettings, BacoTuner
 from repro.core.result import ObjectiveResult
 from repro.core.session import Suggestion, TuningSession, drive
-from repro.service import SessionService
+from repro.service import SessionRegistry
 
 
 def _fast_settings(**overrides) -> BacoSettings:
@@ -182,22 +182,12 @@ class TestSessionProtocol:
 
 
 class TestNoActiveSession:
-    """Satellite: legacy helpers fail with a clear error before tune()."""
+    """The history accessor fails with a clear error before tune()."""
 
     def test_history_property(self, small_space):
         tuner = _make_tuner("uniform", small_space, 0)
         with pytest.raises(RuntimeError, match="no active tuning session"):
             tuner.history
-
-    def test_remaining(self, small_space):
-        tuner = _make_tuner("uniform", small_space, 0)
-        with pytest.raises(RuntimeError, match="no active tuning session"):
-            tuner._remaining(10)
-
-    def test_evaluate(self, small_space):
-        tuner = _make_tuner("uniform", small_space, 0)
-        with pytest.raises(RuntimeError, match="no active tuning session"):
-            tuner._evaluate(small_space.default_configuration())
 
 
 class TestSnapshotRestore:
@@ -290,7 +280,7 @@ class TestSessionService:
         return response
 
     def test_start_ask_tell_roundtrip(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         started = self._start(service)
         assert started["benchmark"] == "hpvm_bfs"
 
@@ -304,7 +294,7 @@ class TestSessionService:
         assert status["best_value"] == 2.5
 
     def test_snapshot_restore_via_file(self, tmp_path):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         self._start(service)
         asked = service.handle({"op": "ask", "n": 1})
         service.handle(
@@ -314,14 +304,14 @@ class TestSessionService:
         saved = service.handle({"op": "snapshot", "path": str(path)})
         assert saved["ok"] and path.exists()
 
-        fresh = SessionService()
+        fresh = SessionRegistry(max_sessions=1)
         restored = fresh.handle({"op": "restore", "path": str(path)})
         assert restored["ok"] and restored["evaluations"] == 1
         status = fresh.handle({"op": "status"})
         assert status["best_value"] == 1.25
 
     def test_errors_do_not_kill_the_service(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert not service.handle({"op": "ask"})["ok"]  # no session yet
         assert not service.handle({"op": "nope"})["ok"]
         line = service.handle_line("{not json")

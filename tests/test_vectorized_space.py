@@ -260,38 +260,6 @@ class TestRowSpaceAPI:
         with pytest.raises(ValueError):
             space.encoder.encode_columns(columns)
 
-    def test_evaluate_rows_supports_duck_typed_feasibility_models(self):
-        """Regression: models without an ``encoder`` attribute (the dict-only
-        surface ``__call__`` already supports) must work in row space too."""
-        from repro.core.acquisition import AcquisitionFunction
-
-        space = SearchSpace(_mixed_params())
-        rng = np.random.default_rng(4)
-
-        class StubModel:
-            def to_model_scale(self, value):
-                return value
-
-            def predict(self, configs, include_noise=False):
-                n = len(configs)
-                return np.zeros(n), np.ones(n)
-
-        class StubFeasibility:
-            is_trained = True
-
-            def predict_probability(self, configs):
-                return np.full(len(configs), 0.5)
-
-        acquisition = AcquisitionFunction(
-            StubModel(), best_value=1.0, feasibility_model=StubFeasibility()
-        )
-        rows = space.sample_rows(rng, 5)
-        values = acquisition.evaluate_rows(rows, space.encoder)
-        assert values.shape == (5,)
-        assert np.array_equal(
-            values, acquisition([space.encoder.decode(r) for r in rows])
-        )
-
     def test_sample_rows_are_feasible_and_decodable(self):
         space = _mixed_space()
         rng = np.random.default_rng(0)
