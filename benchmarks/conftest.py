@@ -31,10 +31,12 @@ def emit():
 
     pytest captures stdout by default, so the artifact file is the reliable
     place to inspect the regenerated tables and figure series after a
-    benchmark run (or pass ``-s`` to see them live).
+    benchmark run (or pass ``-s`` to see them live).  The file is truncated
+    once per pytest session, so it holds exactly one run's report.
     """
     artifact_path = Path(__file__).resolve().parents[1] / "results" / "paper_artifacts.txt"
     artifact_path.parent.mkdir(parents=True, exist_ok=True)
+    artifact_path.write_text("")
 
     def _emit(text: str) -> None:
         print()

@@ -129,7 +129,7 @@ class YtoptLikeTuner(Tuner):
             return self._random_unseen(evaluated)
 
         try:
-            ei = self._expected_improvement(configs, values, pool, np.asarray(pool_rows))
+            ei = self._expected_improvement(configs, values, np.asarray(pool_rows))
         except (ValueError, np.linalg.LinAlgError):
             return self._random_unseen(evaluated)
         return pool[int(np.argmax(ei))]
@@ -138,12 +138,13 @@ class YtoptLikeTuner(Tuner):
         self,
         configs: Sequence[Mapping[str, Any]],
         values: np.ndarray,
-        pool: Sequence[Mapping[str, Any]],
         pool_rows: np.ndarray,
     ) -> np.ndarray:
         best = float(np.min(values))
+        # the naive model space differs only in the permutation metric, which
+        # the encoding does not depend on, so space rows are valid model rows
+        features = self.space.encode_batch(configs)
         if self.surrogate == "rf":
-            features = self.space.encode_batch(configs)
             model = RandomForestRegressor(n_trees=self.rf_trees, rng=self._rng)
             model.fit(features, values)
             mean, variance = model.predict_with_uncertainty(pool_rows)
@@ -158,19 +159,14 @@ class YtoptLikeTuner(Tuner):
                 advanced_fit=True,
                 rng=self._rng,
             )
-            model.fit(configs, values)
+            model.fit_rows(features, values)
             best = float(model.to_model_scale(best))
-            if model.encoder.signature() == self.space.encoder.signature():
-                mean, variance = model.predict_rows(pool_rows, include_noise=True)
-            else:
-                mean, variance = model.predict(pool, include_noise=True)
+            mean, variance = model.predict_rows(pool_rows, include_noise=True)
         return expected_improvement(mean, variance, best)
 
     def _random_unseen(self, evaluated: set[tuple]) -> Configuration:
-        """First unseen configuration of one batched draw (give-up: one more)."""
-        decode = self.space.encoder.decode
-        for row in self.space.sample_rows(self._rng, 32):
-            config = decode(row)
-            if self.space.freeze(config) not in evaluated:
-                return config
-        return self.space.sample_one(self._rng)
+        """First unseen configuration of one 32-row draw (give-up: one more)."""
+        config = self.space.sample_unseen(self._rng, evaluated)
+        if config is None:
+            config = self.space.sample_one(self._rng)
+        return config

@@ -309,22 +309,9 @@ class BacoTuner(Tuner):
         # every iteration; "fast" reuses _fast_gp across iterations with
         # incremental Cholesky extension and warm-started hyper fits).
         self._policy = SurrogatePolicy.parse(self.settings.surrogate_policy)
-        self._fast_gp: GaussianProcess | None = None
-        self._policy_state: dict[str, Any] = {
-            "last_sweep_n": 0,
-            "last_refit_n": 0,
-            "hypers": None,
-        }
-        self._restored_chol_base_n = 0
-        # Acquisition hot-path caches: the persistent candidate pool
-        # (space-encoder rows), the indices due a resample before the next
-        # ask, and the pool↔train cross-distance tensor serve pooled fast
-        # policies only; the cross-ask neighbour-matrix cache serves the
-        # climb in every mode.
-        self._candidate_pool: np.ndarray | None = None
-        self._pool_refill: list[int] = []
         self._cross_distance = CrossDistanceTensor(self._model_distance)
         self._neighbour_cache: dict[bytes, np.ndarray] = {}
+        self._reset_policy_state()
         # The cross tensor measures distances in the *model* encoding; it can
         # only stand in for pool-row distances when both encoders agree on
         # every warp (false under e.g. the no-transformations ablation).
@@ -371,17 +358,30 @@ class BacoTuner(Tuner):
         policy is part of the tuner configuration, not per-run state).
         """
         self._policy = SurrogatePolicy.parse(policy)
-        self._fast_gp = None
-        self._policy_state = {"last_sweep_n": 0, "last_refit_n": 0, "hypers": None}
-        self._restored_chol_base_n = 0
-        self._candidate_pool = None
-        self._pool_refill = []
-        self._cross_distance.reset()
-        self._neighbour_cache.clear()
+        self._reset_policy_state()
 
     @property
     def surrogate_policy(self) -> SurrogatePolicy:
         return self._policy
+
+    def _reset_policy_state(self) -> None:
+        """Drop the fast-policy GP and every acquisition hot-path cache."""
+        self._fast_gp: GaussianProcess | None = None
+        self._policy_state: dict[str, Any] = {
+            "last_sweep_n": 0,
+            "last_refit_n": 0,
+            "hypers": None,
+        }
+        self._restored_chol_base_n = 0
+        # Acquisition hot-path caches: the persistent candidate pool
+        # (space-encoder rows), the indices due a resample before the next
+        # ask, and the pool↔train cross-distance tensor serve pooled fast
+        # policies only; the cross-ask neighbour-matrix cache serves the
+        # climb in every mode.
+        self._candidate_pool: np.ndarray | None = None
+        self._pool_refill: list[int] = []
+        self._cross_distance.reset()
+        self._neighbour_cache.clear()
 
     def _make_surrogate(self, kind: str | None = None) -> GaussianProcess | RandomForestRegressor:
         if (kind or self.settings.surrogate) == "rf":
@@ -407,13 +407,7 @@ class BacoTuner(Tuner):
         self._space_rows_feasible.clear()
         self._feasible_values.clear()
         self._feasible_flags.clear()
-        self._fast_gp = None
-        self._policy_state = {"last_sweep_n": 0, "last_refit_n": 0, "hypers": None}
-        self._restored_chol_base_n = 0
-        self._candidate_pool = None
-        self._pool_refill = []
-        self._cross_distance.reset()
-        self._neighbour_cache.clear()
+        self._reset_policy_state()
 
     def _plan(self, budget: int) -> None:
         doe_size = self.settings.doe_size or default_doe_size(self.space, budget)
@@ -544,10 +538,7 @@ class BacoTuner(Tuner):
                 profiler=profiler,
             )
         chosen = [config for config, value in ranked if np.isfinite(value)]
-        while len(chosen) < k:
-            taken = exclude | {self.space.freeze(c) for c in chosen}
-            chosen.append(self._random_fallback(taken))
-        return chosen
+        return self._random_fallback_batch(k, exclude, chosen)
 
     def _pooled_search(
         self,
@@ -765,11 +756,24 @@ class BacoTuner(Tuner):
         )
         self._fast_gp = gp
 
-    def _random_fallback_batch(self, k: int, exclude: set[tuple]) -> list[Configuration]:
-        chosen: list[Configuration] = []
+    def _random_fallback_batch(
+        self,
+        k: int,
+        exclude: set[tuple],
+        chosen: Sequence[Configuration] = (),
+    ) -> list[Configuration]:
+        """Top ``chosen`` up to ``k`` random feasible configurations.
+
+        Each fill avoids ``exclude`` and everything chosen so far when one
+        64-row draw allows it; otherwise it takes one give-up draw.
+        """
+        chosen = list(chosen)
         while len(chosen) < k:
             taken = exclude | {self.space.freeze(c) for c in chosen}
-            chosen.append(self._random_fallback(taken))
+            config = self.space.sample_unseen(self._rng, taken, n=64)
+            if config is None:
+                config = self.space.sample_one(self._rng)
+            chosen.append(config)
         return chosen
 
     # ------------------------------------------------------------------
@@ -809,19 +813,3 @@ class BacoTuner(Tuner):
             return surrogate.predict_with_uncertainty(rows)
 
         return predict_rows, float(np.min(targets))
-
-    def _random_fallback(self, evaluated_keys: set[tuple]) -> Configuration:
-        """Random feasible configuration, avoiding re-evaluations when possible.
-
-        One row batch replaces the historical loop of up to 64 scalar draws;
-        the final give-up draw (everything already evaluated) stays a single
-        extra sample, as before.
-        """
-        rows = self.space.sample_rows(self._rng, 64)
-        decode = self.space.encoder.decode
-        for row in rows:
-            config = decode(row)
-            if self.space.freeze(config) not in evaluated_keys:
-                return config
-        return self.space.sample_one(self._rng)
-

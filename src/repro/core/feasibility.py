@@ -16,7 +16,7 @@ is permanently excluded.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,22 +48,6 @@ class FeasibilityModel:
     def is_trained(self) -> bool:
         """The model is only useful once both classes have been observed."""
         return self._n_feasible > 0 and self._n_infeasible > 0 and self._forest.is_fitted
-
-    @property
-    def encoder(self):
-        """The space's shared :class:`~repro.space.encoding.ConfigEncoder`."""
-        return self.space.encoder
-
-    def fit(
-        self,
-        configurations: Sequence[Mapping[str, Any]],
-        feasible: Sequence[bool],
-    ) -> None:
-        """(Re-)train on every configuration evaluated so far.
-
-        Thin adapter over :meth:`fit_rows` for configuration dicts.
-        """
-        self.fit_rows(self.encoder.encode_batch(configurations), feasible)
 
     def fit_rows(self, rows: np.ndarray, feasible: Sequence[bool]) -> None:
         """(Re-)train on pre-encoded rows."""

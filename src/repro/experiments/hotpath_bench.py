@@ -372,11 +372,12 @@ def _bench_ei_maximization(
         max_optimizer_iterations=10,
         rng=np.random.default_rng(24),
     )
-    gp.fit(train, values)
+    train_rows = space.encode_batch(train)
+    gp.fit_rows(train_rows, values)
 
     feasibility = FeasibilityModel(space, n_trees=24, rng=np.random.default_rng(25))
     labels = [bool(b) for b in np.random.default_rng(26).random(n_train) > 0.3]
-    feasibility.fit(train, labels)
+    feasibility.fit_rows(train_rows, labels)
 
     best_model_scale = float(gp.to_model_scale(min(values)))
     acquisition = AcquisitionFunction(

@@ -15,10 +15,10 @@ operates on **pre-encoded** matrices produced by
 :class:`repro.space.encoding.ConfigEncoder`: every per-type block — numeric
 absolute differences, categorical Hamming, and all four permutation
 semimetrics including Kendall — is computed with vectorized numpy, with no
-per-pair Python loop anywhere.  :meth:`DistanceComputer.pairwise` remains as
-a thin adapter for callers holding raw configuration dicts (it encodes, then
-delegates), and :meth:`DistanceComputer.pairwise_reference` preserves the
-historical per-pair implementation as the ground truth for regression tests
+per-pair Python loop anywhere.  Callers holding raw configuration dicts
+encode them first with :attr:`DistanceComputer.encoder`;
+:meth:`DistanceComputer.pairwise_reference` preserves the historical
+per-pair implementation as the ground truth for regression tests
 and the hot-path microbenchmark.
 
 :class:`IncrementalDistanceTensor` grows the symmetric train-train tensor one
@@ -158,9 +158,8 @@ def _raw_permutation_block_rows(
 class DistanceComputer:
     """Computes normalized per-dimension distance tensors between configurations.
 
-    Built around a :class:`ConfigEncoder`: the fast path
-    (:meth:`pairwise_rows`) consumes encoded matrices directly; the dict path
-    (:meth:`pairwise`) is a thin adapter that encodes first.
+    Built around a :class:`ConfigEncoder`: :meth:`pairwise_rows` consumes
+    encoded matrices directly.
     """
 
     def __init__(
@@ -199,19 +198,6 @@ class DistanceComputer:
                 )
             out[k] = matrix / self.scales[k]
         return out
-
-    # ------------------------------------------------------------------
-    # dict path (thin adapter)
-    # ------------------------------------------------------------------
-    def pairwise(
-        self,
-        configs_a: Sequence[Mapping[str, Any]],
-        configs_b: Sequence[Mapping[str, Any]] | None = None,
-    ) -> np.ndarray:
-        """Distance tensor ``(D, len(a), len(b))`` from configuration dicts."""
-        rows_a = self.encoder.encode_batch(configs_a)
-        rows_b = None if configs_b is None else self.encoder.encode_batch(configs_b)
-        return self.pairwise_rows(rows_a, rows_b)
 
     # ------------------------------------------------------------------
     # reference path (pre-vectorization semantics, kept for tests / benchmarks)

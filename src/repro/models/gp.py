@@ -18,11 +18,12 @@ The GP operates on **pre-encoded** configuration rows
 / :meth:`GaussianProcess.predict_rows` consume ``(n, width)`` float matrices
 directly, and ``fit_rows`` accepts an externally cached train-train distance
 tensor (see :class:`repro.models.distances.IncrementalDistanceTensor`) so the
-per-iteration fit never recomputes the full pairwise structure.  The
-dict-based :meth:`fit` / :meth:`predict` remain as thin adapters that encode
-and delegate.  The train tensor is computed once per fit and shared across
-all hyper-parameter restarts — only the (cheap) kernel evaluation depends on
-the hyper-parameters.
+per-iteration fit never recomputes the full pairwise structure.  Callers
+holding configuration dicts encode them once with
+:attr:`GaussianProcess.encoder`
+(``gp.fit_rows(gp.encoder.encode_batch(configs), y)``).  The train tensor
+is computed once per fit and shared across all hyper-parameter restarts —
+only the (cheap) kernel evaluation depends on the hyper-parameters.
 
 Incremental refit
 -----------------
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg, optimize
@@ -94,7 +95,7 @@ class GPHyperparameters:
 
 
 class GaussianProcess:
-    """GP regressor over configuration dictionaries.
+    """GP regressor over encoded configuration rows.
 
     Parameters
     ----------
@@ -273,14 +274,6 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     # fitting
     # ------------------------------------------------------------------
-    def fit(self, configurations: Sequence[Mapping[str, Any]], targets: Sequence[float]) -> None:
-        """Fit the GP to observed (configuration, objective) pairs.
-
-        Thin adapter over :meth:`fit_rows`: encodes the dicts once, then
-        fits on the rows.
-        """
-        self.fit_rows(self.encoder.encode_batch(configurations), targets)
-
     def fit_rows(
         self,
         rows: np.ndarray,
@@ -317,7 +310,7 @@ class GaussianProcess:
             )
         rows = np.asarray(rows, dtype=float)
         if len(rows) != len(targets):
-            raise ValueError("configurations and targets must have the same length")
+            raise ValueError("rows and targets must have the same length")
         if len(rows) < 2:
             raise ValueError("need at least two observations to fit a GP")
         self._train_rows = rows
@@ -487,19 +480,6 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def predict(
-        self,
-        configurations: Sequence[Mapping[str, Any]],
-        include_noise: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and variance on the *model* scale.
-
-        Thin adapter over :meth:`predict_rows` for configuration dicts.
-        """
-        return self.predict_rows(
-            self.encoder.encode_batch(configurations), include_noise=include_noise
-        )
-
     def predict_rows(
         self,
         rows: np.ndarray,
@@ -521,7 +501,7 @@ class GaussianProcess:
         tensor of ``rows`` against the fitted training rows.
         """
         if not self.is_fitted:
-            raise RuntimeError("predict() called before fit()")
+            raise RuntimeError("predict_rows() called before fit_rows()")
         hp = self.hyperparameters
         if cross_distance is not None:
             cross = np.asarray(cross_distance, dtype=float)
@@ -543,15 +523,6 @@ class GaussianProcess:
         if include_noise:
             var = var + hp.noise_variance
         return mean, var
-
-    def predict_raw(
-        self, configurations: Sequence[Mapping[str, Any]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean on the raw objective scale (approximate for log models)."""
-        mean, var = self.predict(configurations)
-        raw_mean = self.from_model_scale(mean)
-        raw_std = np.abs(raw_mean) * np.sqrt(var) * self._y_std if self.log_transform_output else np.sqrt(var) * self._y_std
-        return raw_mean, raw_std**2
 
     def log_likelihood(self) -> float:
         """Log posterior density of the fitted model (for diagnostics).

@@ -214,22 +214,6 @@ class ConfigEncoder:
             return values.astype(float)
         return np.asarray([tuple(v) for v in values], dtype=float)
 
-    def encode_columns(self, columns: Mapping[str, Any]) -> np.ndarray:
-        """Encode raw-value columns (one entry per parameter) as a row matrix.
-
-        The column-major inverse of :meth:`value_columns`; bit-identical to
-        ``encode_batch`` on the corresponding configuration dicts.
-        """
-        lengths = {len(columns[b.parameter.name]) for b in self.blocks}
-        if len(lengths) != 1:
-            raise ValueError(f"ragged or missing columns: lengths {sorted(lengths)}")
-        (n,) = lengths
-        out = np.empty((n, self.width), dtype=float)
-        for block in self.blocks:
-            name = block.parameter.name
-            out[:, block.columns] = self.encode_value_column(name, columns[name])
-        return out
-
     def value_columns(
         self, rows: np.ndarray, names: "Sequence[str] | None" = None
     ) -> dict[str, np.ndarray]:

@@ -623,6 +623,26 @@ class SearchSpace:
     def sample_one(self, rng: np.random.Generator, biased_cot: bool = False) -> Configuration:
         return self.sample(rng, 1, biased_cot=biased_cot)[0]
 
+    def sample_unseen(
+        self,
+        rng: np.random.Generator,
+        exclude: "set[tuple] | frozenset[tuple]",
+        n: int = 32,
+        biased_cot: bool = False,
+    ) -> Configuration | None:
+        """First configuration of one ``n``-row draw whose key is not in ``exclude``.
+
+        Returns ``None`` when every drawn row is excluded; callers then take
+        a give-up :meth:`sample_one`, which may repeat an excluded
+        configuration.  Consumes exactly one ``sample_rows(n)`` draw.
+        """
+        decode = self.encoder.decode
+        for row in self.sample_rows(rng, n, biased_cot=biased_cot):
+            config = decode(row)
+            if self.freeze(config) not in exclude:
+                return config
+        return None
+
     def default_configuration(self) -> Configuration:
         """The per-parameter defaults (may be infeasible for constrained spaces)."""
         config: Configuration = {}

@@ -24,7 +24,7 @@ def _fitted_gp(rng, noise_level=0.15, n=18):
     values = [5.0 + 0.5 * abs(x - 10) + noise_level * rng.standard_normal() for x in xs]
     values = [max(v, 0.1) for v in values]
     gp = GaussianProcess(params, log_transform_output=False, rng=rng)
-    gp.fit(configs, values)
+    gp.fit_rows(gp.encoder.encode_batch(configs), values)
     return gp, configs, values
 
 
@@ -55,8 +55,8 @@ class TestNoiselessEI:
     def test_noisy_variance_exceeds_noiseless_everywhere(self, rng):
         gp, configs, _ = _fitted_gp(rng)
         grid = [{"x": x} for x in range(1, 21)]
-        _, var_latent = gp.predict(grid, include_noise=False)
-        _, var_observed = gp.predict(grid, include_noise=True)
+        _, var_latent = gp.predict_rows(gp.encoder.encode_batch(grid), include_noise=False)
+        _, var_observed = gp.predict_rows(gp.encoder.encode_batch(grid), include_noise=True)
         assert np.all(var_observed > var_latent)
         assert np.allclose(var_observed - var_latent, gp.hyperparameters.noise_variance)
 
@@ -79,8 +79,8 @@ class TestLengthscalePriors:
         without_prior = GaussianProcess(
             params, lengthscale_prior=None, log_transform_output=False, rng=np.random.default_rng(0)
         )
-        with_prior.fit(configs, values)
-        without_prior.fit(configs, values)
+        with_prior.fit_rows(with_prior.encoder.encode_batch(configs), values)
+        without_prior.fit_rows(without_prior.encoder.encode_batch(configs), values)
         spread_with = np.ptp(np.log10(with_prior.hyperparameters.lengthscales))
         spread_without = np.ptp(np.log10(without_prior.hyperparameters.lengthscales))
         # the MAP fit keeps lengthscales within a narrower band than plain MLE

@@ -78,7 +78,7 @@ class TestAcquisitionFunction:
         configs = space.sample(rng, 15)
         values = [c["p1"] / c["p2"] + 1.0 for c in configs]
         gp = GaussianProcess(space.parameters, rng=rng, n_prior_samples=6, n_refined_starts=1)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         return gp, configs, values
 
     def test_prefers_promising_configurations(self, rng, small_space):
@@ -138,7 +138,7 @@ class TestFeasibilityModel:
     def test_single_class_gives_smoothed_estimate(self, small_space, rng):
         model = FeasibilityModel(small_space, rng=rng)
         configs = small_space.sample(rng, 10)
-        model.fit(configs, [True] * 10)
+        model.fit_rows(small_space.encode_batch(configs), [True] * 10)
         assert not model.is_trained
         probability = model.predict_probability_rows(
             small_space.encode_batch(configs[:1])
@@ -149,7 +149,7 @@ class TestFeasibilityModel:
         model = FeasibilityModel(small_space, n_trees=24, rng=rng)
         configs = small_space.sample(rng, 120)
         labels = [c["p1"] <= 4 for c in configs]
-        model.fit(configs, labels)
+        model.fit_rows(small_space.encode_batch(configs), labels)
         assert model.is_trained
         feasible_cfg = {"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}
         infeasible_cfg = {"p1": 16, "p2": 2, "sched": "static", "order": (0, 1, 2)}
@@ -161,7 +161,7 @@ class TestFeasibilityModel:
     def test_length_mismatch(self, small_space, rng):
         model = FeasibilityModel(small_space, rng=rng)
         with pytest.raises(ValueError):
-            model.fit(small_space.sample(rng, 3), [True, False])
+            model.fit_rows(small_space.sample_rows(rng, 3), [True, False])
 
 
 class TestFeasibilityThresholdSchedule:

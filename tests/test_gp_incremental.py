@@ -259,7 +259,7 @@ class TestWarmStartedFits:
         configs, values = _dataset(parameters, 17, 5)
         gp = _make_gp(parameters, 17)
         with pytest.raises(ValueError):
-            gp.fit(configs, values) if False else gp.fit_rows(
+            gp.fit_rows(
                 gp.encoder.encode_batch(configs), values, hyper_strategy="bogus"
             )
 
@@ -313,7 +313,7 @@ class TestLogLikelihood:
         ]
         configs, values = _dataset(parameters, 23, 10)
         gp = _make_gp(parameters, 23)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert gp.n_train_factorizations == 1
         first = gp.log_likelihood()
         for _ in range(5):
@@ -326,7 +326,7 @@ class TestLogLikelihood:
         parameters = [OrdinalParameter("tile", [2, 4, 8, 16, 32], transform="log")]
         configs, values = _dataset(parameters, 29, 9)
         gp = _make_gp(parameters, 29)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         direct = -gp._negative_log_posterior(gp.hyperparameters.to_vector(), gp._train_y)
         assert gp.log_likelihood() == pytest.approx(direct, abs=1e-9)
 
@@ -336,7 +336,7 @@ class TestLogLikelihood:
         gp = _make_gp(parameters, 31)
         with pytest.raises(RuntimeError):
             gp.log_likelihood()
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert math.isfinite(gp.log_likelihood())
 
 

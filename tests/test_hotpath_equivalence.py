@@ -92,15 +92,14 @@ class TestKendallVectorization:
         rows_a = computer.encoder.encode_batch(a)
         rows_b = computer.encoder.encode_batch(b)
         assert np.array_equal(computer.pairwise_rows(rows_a, rows_b), reference)
-        # the dict adapter goes through the same vectorized path
-        assert np.array_equal(computer.pairwise(a, b), reference)
 
     def test_self_tensor_matches_reference(self):
         params = _params("kendall")
         computer = DistanceComputer(params)
         configs = _configs(params, 10, seed=4)
         assert np.array_equal(
-            computer.pairwise(configs), computer.pairwise_reference(configs)
+            computer.pairwise_rows(computer.encoder.encode_batch(configs)),
+            computer.pairwise_reference(configs),
         )
 
 
@@ -142,30 +141,6 @@ class TestIncrementalTensor:
 
 
 class TestGPEquivalence:
-    def test_rows_path_matches_dict_path(self):
-        params = _params("kendall")
-        train = _configs(params, 25, seed=8)
-        rng = np.random.default_rng(9)
-        y = list(rng.uniform(0.5, 4.0, size=25))
-        candidates = _configs(params, 40, seed=10)
-
-        gp_dict = GaussianProcess(params, rng=np.random.default_rng(11))
-        gp_dict.fit(train, y)
-        mean_dict, var_dict = gp_dict.predict(candidates)
-
-        gp_rows = GaussianProcess(params, rng=np.random.default_rng(11))
-        rows = gp_rows.encoder.encode_batch(train)
-        cache = IncrementalDistanceTensor(gp_rows._distance)
-        for i in range(len(rows)):
-            cache.append(rows[i : i + 1])
-        gp_rows.fit_rows(cache.rows, y, distance_tensor=cache.tensor)
-        mean_rows, var_rows = gp_rows.predict_rows(
-            gp_rows.encoder.encode_batch(candidates)
-        )
-
-        assert np.allclose(mean_dict, mean_rows, atol=1e-8, rtol=0)
-        assert np.allclose(var_dict, var_rows, atol=1e-8, rtol=0)
-
     def test_fit_rows_rejects_mismatched_tensor(self):
         params = _params("spearman")
         gp = GaussianProcess(params, rng=np.random.default_rng(12))

@@ -54,7 +54,7 @@ class TestDistanceComputer:
         params = _params()
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 6)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         for k, param in enumerate(params):
             scale = parameter_scale(param)
             for i in range(6):
@@ -68,7 +68,7 @@ class TestDistanceComputer:
         params = _params()
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 8)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         assert np.allclose(tensor, np.swapaxes(tensor, 1, 2))
         for k in range(tensor.shape[0]):
             assert np.allclose(np.diag(tensor[k]), 0.0)
@@ -78,13 +78,15 @@ class TestDistanceComputer:
         computer = DistanceComputer(params)
         a = _configs(rng, params, 5)
         b = _configs(rng, params, 3)
-        assert computer.pairwise(a, b).shape == (3, 5, 3)
+        rows_a = computer.encoder.encode_batch(a)
+        rows_b = computer.encoder.encode_batch(b)
+        assert computer.pairwise_rows(rows_a, rows_b).shape == (3, 5, 3)
 
     def test_kendall_metric_falls_back_to_loop(self, rng):
         params = [PermutationParameter("perm", 4, metric="kendall")]
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 5)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         for i in range(5):
             for j in range(5):
                 expected = np.sqrt(params[0].distance(configs[i]["perm"], configs[j]["perm"]))
@@ -93,7 +95,7 @@ class TestDistanceComputer:
     def test_normalized_distances_at_most_one(self, rng):
         params = _params()
         computer = DistanceComputer(params)
-        tensor = computer.pairwise(_configs(rng, params, 20))
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(_configs(rng, params, 20)))
         assert tensor.max() <= 1.0 + 1e-9
 
 
@@ -101,7 +103,7 @@ class TestKernels:
     def _tensor(self, rng, n=10):
         params = _params()
         computer = DistanceComputer(params)
-        return computer.pairwise(_configs(rng, params, n))
+        return computer.pairwise_rows(computer.encoder.encode_batch(_configs(rng, params, n)))
 
     def test_matern_diagonal_equals_outputscale(self, rng):
         tensor = self._tensor(rng)

@@ -94,7 +94,7 @@ def test_matern_kernel_is_psd_over_random_mixed_spaces(space, seed):
     rng = np.random.default_rng(seed)
     configs = space.sample(rng, 12)
     computer = DistanceComputer(space.parameters)
-    tensor = computer.pairwise(configs)
+    tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
     lengthscales = rng.uniform(0.2, 2.0, size=tensor.shape[0])
     kernel = matern52(tensor, lengthscales, outputscale=1.0)
     assert np.allclose(kernel, kernel.T, atol=1e-10)

@@ -231,12 +231,11 @@ class TestLeafCaches:
 # ---------------------------------------------------------------------------
 
 class TestRowSpaceAPI:
-    def test_encode_columns_bit_identical_to_encode_batch(self):
+    def test_encode_value_column_bit_identical_to_encode_batch(self):
         params = _mixed_params()
         space = SearchSpace(params)
         rng = np.random.default_rng(9)
         columns = {p.name: p.sample_batch(rng, 100) for p in params}
-        rows = space.encoder.encode_columns(columns)
         configs = [
             {
                 p.name: (
@@ -250,15 +249,37 @@ class TestRowSpaceAPI:
             }
             for i in range(100)
         ]
-        assert np.array_equal(rows, space.encode_batch(configs))
+        rows = space.encode_batch(configs)
+        for p in params:
+            block = space.encoder.encode_value_column(p.name, columns[p.name])
+            assert np.array_equal(block, rows[:, space.encoder.columns(p.name)])
 
-    def test_encode_columns_rejects_ragged_input(self):
-        space = SearchSpace(_mixed_params())
-        rng = np.random.default_rng(9)
-        columns = {p.name: p.sample_batch(rng, 4) for p in space.parameters}
-        columns["w"] = columns["w"][:3]
-        with pytest.raises(ValueError):
-            space.encoder.encode_columns(columns)
+    @pytest.mark.parametrize("biased_cot", [False, True])
+    def test_sample_unseen_takes_first_unseen_row_of_one_draw(self, biased_cot):
+        space = _mixed_space()
+        reference = np.random.default_rng(3)
+        rows = space.sample_rows(reference, 16, biased_cot=biased_cot)
+        first = space.encoder.decode(rows[0])
+        rng = np.random.default_rng(3)
+        exclude = {space.freeze(first)}
+        config = space.sample_unseen(rng, exclude, n=16, biased_cot=biased_cot)
+        expected = next(
+            space.encoder.decode(row)
+            for row in rows
+            if space.freeze(space.encoder.decode(row)) not in exclude
+        )
+        assert config == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_sample_unseen_returns_none_when_every_row_is_excluded(self):
+        space = _mixed_space()
+        reference = np.random.default_rng(4)
+        rows = space.sample_rows(reference, 16)
+        exclude = {space.freeze(space.encoder.decode(row)) for row in rows}
+        rng = np.random.default_rng(4)
+        assert space.sample_unseen(rng, exclude, n=16) is None
+        # exactly one sample_rows(n) draw, and no give-up draw
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_sample_rows_are_feasible_and_decodable(self):
         space = _mixed_space()
